@@ -412,6 +412,43 @@ func BenchmarkKernelMLTDField(b *testing.B) {
 	}
 }
 
+// benchFrame7nm returns a junction frame of a short 7 nm gcc run: the
+// frame shape and temperature texture the per-step analysis sees.
+func benchFrame7nm(b *testing.B) *geometry.Field {
+	b.Helper()
+	return benchRun(b, benchConfig(tech.Node7, "gcc", 20)).FinalField
+}
+
+// BenchmarkKernelAnalyzeFrame is the per-step analysis pass of sim.Run:
+// one MLTD scan feeding the frame's max MLTD and max severity.
+func BenchmarkKernelAnalyzeFrame(b *testing.B) {
+	f := benchFrame7nm(b)
+	analyzer, err := core.NewAnalyzer(f, core.DefaultDefinition())
+	if err != nil {
+		b.Fatal(err)
+	}
+	analyzer.AnalyzeFrame(f) // warm the scan's scratch buffers
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		analyzer.AnalyzeFrame(f)
+	}
+}
+
+// BenchmarkKernelPercentiles is the per-step temperature-percentile
+// summary of sim.Run, by selection with a reused scratch buffer.
+func BenchmarkKernelPercentiles(b *testing.B) {
+	f := benchFrame7nm(b)
+	var sel stats.Selector
+	var out [5]float64
+	sel.PercentilesInto(out[:], f.Data, 5, 25, 50, 75, 95) // grow the scratch
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sel.PercentilesInto(out[:], f.Data, 5, 25, 50, 75, 95)
+	}
+}
+
 func BenchmarkKernelCacheAccess(b *testing.B) {
 	h, err := perf.NewHierarchy(perf.DefaultConfig())
 	if err != nil {

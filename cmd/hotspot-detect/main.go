@@ -57,21 +57,23 @@ func detect(path string, def core.Definition, naive, sev bool) error {
 	if err != nil {
 		return err
 	}
+	// One MLTD scan gives both maxima and feeds the detector.
+	fa := analyzer.AnalyzeFrame(field)
 	var hs []core.Hotspot
 	if naive {
 		hs = analyzer.DetectNaive(field)
 	} else {
-		hs = analyzer.Detect(field)
+		hs = analyzer.DetectWith(field, fa)
 	}
 	maxT, _, _ := field.Max()
 	fmt.Printf("%s: %dx%d cells, max %.1f C, max MLTD %.1f C, %d hotspot(s)\n",
-		path, field.NX, field.NY, maxT, analyzer.MaxMLTD(field), len(hs))
+		path, field.NX, field.NY, maxT, fa.MaxMLTD, len(hs))
 	for _, h := range hs {
 		fmt.Printf("  (%.2f, %.2f) mm: %.1f C, MLTD %.1f C, severity %.2f\n",
 			h.X, h.Y, h.Temp, h.MLTD, core.Severity(h.Temp, h.MLTD))
 	}
 	if sev {
-		fmt.Printf("  peak severity: %.3f\n", analyzer.MaxSeverity(field))
+		fmt.Printf("  peak severity: %.3f\n", fa.MaxSeverity)
 	}
 	return nil
 }

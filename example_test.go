@@ -87,7 +87,7 @@ func ExampleNewMetrics() {
 	// Output:
 	// steps counted: 5 (ran 5)
 	// thermal substeps > steps: true
-	// stages timed: 6
+	// stages timed: 8
 }
 
 // RunAllOpts reports live campaign progress and joins all failures.

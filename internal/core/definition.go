@@ -55,20 +55,21 @@ type Analyzer struct {
 	offsets []stencilOffset
 
 	// Chord decomposition of the disk stencil for the sliding-window
-	// scan: chord dy covers dx ∈ [-w, w] (dy = 0 excludes dx = 0 and is
-	// handled by one-sided windows of half-width rad).
-	chords []chord
-	widths []int // distinct chord half-widths, indexing scratch.rowMin
-	rad    int   // int(radius/dx): half-width of the dy = 0 chord
+	// scan: chord dy covers dx ∈ [-w, w] (dy = 0 excludes dx = 0 and has
+	// half-width rad).
+	chords   []chord
+	widths   []int // distinct chord half-widths, indexing scratch.rowMin
+	widthIdx []int // per half-width 0..rad: its index in widths, or -1
+	rad      int   // int(radius/dx): half-width of the dy = 0 chord
 
 	scratch mltdScratch
 }
 
 type stencilOffset struct{ dx, dy int }
 
-// chord is one horizontal run of the disk stencil: row offset dy,
-// half-width w, and the index of w in Analyzer.widths.
-type chord struct{ dy, w, wIdx int }
+// chord is one horizontal run of the disk stencil: row offset dy and
+// the index of its half-width in Analyzer.widths.
+type chord struct{ dy, wIdx int }
 
 // NewAnalyzer builds an analyzer for fields shaped like proto.
 func NewAnalyzer(proto *geometry.Field, def Definition) (*Analyzer, error) {
@@ -103,7 +104,10 @@ func NewAnalyzer(proto *geometry.Field, def Definition) (*Analyzer, error) {
 // per-cell stencil so both paths cover identical cell sets.
 func (a *Analyzer) buildChords(rCells float64, n int) {
 	r2 := rCells * rCells
-	widthIdx := map[int]int{}
+	a.widthIdx = make([]int, n+1)
+	for i := range a.widthIdx {
+		a.widthIdx[i] = -1
+	}
 	for dy := -n; dy <= n; dy++ {
 		if dy == 0 {
 			a.rad = n // max dx with dx² ≤ r² is int(rCells) itself
@@ -119,13 +123,11 @@ func (a *Analyzer) buildChords(rCells float64, n int) {
 		if w < 0 {
 			continue // row entirely outside the disk
 		}
-		idx, ok := widthIdx[w]
-		if !ok {
-			idx = len(a.widths)
-			widthIdx[w] = idx
+		if a.widthIdx[w] < 0 {
+			a.widthIdx[w] = len(a.widths)
 			a.widths = append(a.widths, w)
 		}
-		a.chords = append(a.chords, chord{dy: dy, w: w, wIdx: idx})
+		a.chords = append(a.chords, chord{dy: dy, wIdx: a.widthIdx[w]})
 	}
 }
 

@@ -40,7 +40,20 @@ func (a *Analyzer) Candidates(f *geometry.Field) []Hotspot {
 // by estimated cost — both paths are bit-equal, so the choice never
 // changes the result.
 func (a *Analyzer) Detect(f *geometry.Field) []Hotspot {
+	return a.DetectWith(f, FrameAnalysis{})
+}
+
+// DetectWith is Detect reading candidate MLTD from fa, the scan of f the
+// caller already ran with AnalyzeFrame, so a frame that is both recorded
+// and checked for hotspots is scanned once. A zero FrameAnalysis makes
+// it Detect. fa must be this analyzer's latest scan: DetectWith panics
+// when another scan has overwritten fa.MLTD since (the bug of analysing
+// a second frame between AnalyzeFrame and DetectWith).
+func (a *Analyzer) DetectWith(f *geometry.Field, fa FrameAnalysis) []Hotspot {
 	a.checkShape(f)
+	if fa.MLTD != nil && fa.gen != a.scratch.gen {
+		panic("core: DetectWith given a stale FrameAnalysis")
+	}
 	cands := a.Candidates(f)
 	hot := 0
 	for _, c := range cands {
@@ -53,8 +66,8 @@ func (a *Analyzer) Detect(f *geometry.Field) []Hotspot {
 	}
 	// Reference path: ~len(offsets) disk cells per hot candidate.
 	// Sliding scan: ~(chords + width passes + combine) ops per die cell.
-	var scan []float64
-	if hot*len(a.offsets) > a.nx*a.ny*(len(a.chords)+len(a.widths)+3) {
+	scan := fa.MLTD
+	if scan == nil && hot*len(a.offsets) > a.nx*a.ny*(len(a.chords)+len(a.widths)+3) {
 		scan = a.mltdScan(f)
 	}
 	var out []Hotspot

@@ -39,8 +39,44 @@ func (a *Analyzer) MLTDField(f *geometry.Field) *geometry.Field {
 	return out
 }
 
+// FrameAnalysis is the result of one MLTD scan over a frame: the
+// per-cell MLTD and the frame maxima derived from it in the same loop.
+type FrameAnalysis struct {
+	// MLTD is the per-cell MLTD in row-major order. It aliases the
+	// analyzer's scratch buffer and stays valid only until the next scan
+	// on that analyzer (AnalyzeFrame, MaxMLTD, MaxSeverity, MLTDField or
+	// a Detect that takes the scan path); copy it to keep it longer.
+	MLTD []float64
+	// MaxMLTD is the die maximum of MLTD, floored at 0 (the Fig. 9
+	// series); MaxSeverity is the peak of Severity(T, MLTD) over the die
+	// (the sev(t) series of §V).
+	MaxMLTD, MaxSeverity float64
+
+	gen uint64 // scratch generation of MLTD, to catch a stale scan
+}
+
+// AnalyzeFrame runs the sliding-window MLTD scan over f once and returns
+// the per-cell MLTD with the frame's max MLTD and max severity, computed
+// in one loop. Callers that need several per-frame quantities (the
+// recorded series, unit severity, detection via DetectWith) share this
+// one scan. Allocation-free after the analyzer's first scan.
+func (a *Analyzer) AnalyzeFrame(f *geometry.Field) FrameAnalysis {
+	m := a.mltdScan(f)
+	fa := FrameAnalysis{MLTD: m, gen: a.scratch.gen}
+	for i, t := range f.Data {
+		if m[i] > fa.MaxMLTD {
+			fa.MaxMLTD = m[i]
+		}
+		if s := Severity(t, m[i]); s > fa.MaxSeverity {
+			fa.MaxSeverity = s
+		}
+	}
+	return fa
+}
+
 // MaxMLTD returns the maximum MLTD over the whole die — the Fig. 9
-// time-series quantity. Allocation-free after the analyzer's first scan.
+// time-series quantity. It is AnalyzeFrame's MaxMLTD without the
+// severity evaluation. Allocation-free after the analyzer's first scan.
 func (a *Analyzer) MaxMLTD(f *geometry.Field) float64 {
 	best := 0.0
 	for _, v := range a.mltdScan(f) {
@@ -52,15 +88,8 @@ func (a *Analyzer) MaxMLTD(f *geometry.Field) float64 {
 }
 
 // MaxSeverity returns the peak hotspot severity over the die: the sev(t)
-// series of §V. It shares the sliding-window MLTD scan, evaluating
-// Severity at every cell. Allocation-free after the first scan.
+// series of §V (AnalyzeFrame's MaxSeverity). Allocation-free after the
+// analyzer's first scan.
 func (a *Analyzer) MaxSeverity(f *geometry.Field) float64 {
-	m := a.mltdScan(f)
-	best := 0.0
-	for i, t := range f.Data {
-		if s := Severity(t, m[i]); s > best {
-			best = s
-		}
-	}
-	return best
+	return a.AnalyzeFrame(f).MaxSeverity
 }

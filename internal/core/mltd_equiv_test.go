@@ -100,17 +100,71 @@ func TestDetectAgreesOnBothCostPaths(t *testing.T) {
 				}
 			}
 			got := a.Detect(f)
-			if len(got) != len(want) {
-				t.Fatalf("base %v seed %d: Detect found %d hotspots, reference %d",
-					base, seed, len(got), len(want))
+			// The shared-scan path: MLTD read from a caller's AnalyzeFrame.
+			scanned := a.DetectWith(f, a.AnalyzeFrame(f))
+			if len(got) != len(want) || len(scanned) != len(want) {
+				t.Fatalf("base %v seed %d: Detect found %d hotspots, DetectWith %d, reference %d",
+					base, seed, len(got), len(scanned), len(want))
 			}
 			for i := range want {
 				if got[i] != want[i] {
 					t.Fatalf("base %v seed %d: hotspot %d: %+v != %+v", base, seed, i, got[i], want[i])
 				}
+				if scanned[i] != want[i] {
+					t.Fatalf("base %v seed %d: DetectWith hotspot %d: %+v != %+v", base, seed, i, scanned[i], want[i])
+				}
 			}
 		}
 	}
+}
+
+// TestAnalyzeFrameMaximaBitEqualToPerCellReference pins the one-pass
+// maxima against MaxMLTD and MaxSeverity rebuilt from MLTDAt and
+// Severity at every cell, exactly.
+func TestAnalyzeFrameMaximaBitEqualToPerCellReference(t *testing.T) {
+	for seed := int64(1); seed <= 6; seed++ {
+		for _, base := range []float64{45, 62, 95} {
+			f := gaussianField(46, 31, 0.1, base, seed, 5, 50)
+			a := newRadiusAnalyzer(t, f, 1.0)
+			wantMLTD, wantSev := 0.0, 0.0
+			for iy := 0; iy < f.NY; iy++ {
+				for ix := 0; ix < f.NX; ix++ {
+					m := a.MLTDAt(f, ix, iy)
+					if m > wantMLTD {
+						wantMLTD = m
+					}
+					if s := Severity(f.At(ix, iy), m); s > wantSev {
+						wantSev = s
+					}
+				}
+			}
+			fa := a.AnalyzeFrame(f)
+			if fa.MaxMLTD != wantMLTD || a.MaxMLTD(f) != wantMLTD {
+				t.Fatalf("seed %d base %v: max MLTD %.17g / %.17g != per-cell %.17g",
+					seed, base, fa.MaxMLTD, a.MaxMLTD(f), wantMLTD)
+			}
+			if fa.MaxSeverity != wantSev || a.MaxSeverity(f) != wantSev {
+				t.Fatalf("seed %d base %v: max severity %.17g / %.17g != per-cell %.17g",
+					seed, base, fa.MaxSeverity, a.MaxSeverity(f), wantSev)
+			}
+		}
+	}
+}
+
+// TestDetectWithRejectsStaleScan: a FrameAnalysis whose buffer another
+// scan has since overwritten must not be read as if it described f.
+func TestDetectWithRejectsStaleScan(t *testing.T) {
+	f := gaussianField(30, 20, 0.1, 95, 3, 4, 30)
+	g := gaussianField(30, 20, 0.1, 95, 4, 4, 30)
+	a := newRadiusAnalyzer(t, f, 1.0)
+	fa := a.AnalyzeFrame(f)
+	a.MaxSeverity(g)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("DetectWith accepted a stale FrameAnalysis")
+		}
+	}()
+	a.DetectWith(f, fa)
 }
 
 func TestMLTDScanNoAllocsAfterWarmup(t *testing.T) {
@@ -120,6 +174,7 @@ func TestMLTDScanNoAllocsAfterWarmup(t *testing.T) {
 	allocs := testing.AllocsPerRun(10, func() {
 		a.MaxMLTD(f)
 		a.MaxSeverity(f)
+		a.AnalyzeFrame(f)
 	})
 	if allocs != 0 {
 		t.Fatalf("MLTD scan allocates %v objects per frame after warmup", allocs)

@@ -10,26 +10,30 @@ import (
 // cell of the disk stencil for every die cell: O(cells · R²) in the
 // radius measured in cells. This file decomposes the disk into
 // horizontal chords and computes, per distinct chord half-width w, the
-// windowed row minimum min f(x±w, y) for all cells with a monotone-deque
-// sliding minimum (van Herk/Gil–Werman style, O(1) amortized per cell).
-// The neighbourhood minimum of a cell is then the minimum of one
-// precomputed row value per chord — O(cells · R) overall. The dy = 0
-// chord excludes the cell itself, so it is covered by two one-sided
-// windows (strictly left, strictly right) instead of a centered one.
-// Both paths minimize over identical cell sets, so their results are
-// bit-equal; mltd_equiv_test.go enforces that.
+// windowed row minimum min f(x±w, y) for all cells. The row minima come
+// from one incremental-width pass per row:
+//
+//	excl_0[x] = +Inf
+//	excl_w[x] = min(excl_{w-1}[x], f(x−w, y), f(x+w, y))   (on-die terms only)
+//	rowMin_w[x] = min(f(x, y), excl_w[x])
+//
+// excl_rad is the dy = 0 chord, which excludes the cell itself. Every
+// step is a pair of straight-line minimum sweeps over the row with no
+// data-dependent control flow, so the pass costs O(R) per cell with a
+// small constant. The neighbourhood minimum of a cell is then the
+// minimum of one precomputed row value per chord — O(cells · R)
+// overall. Both paths minimize over identical cell sets, so their
+// results are bit-equal; mltd_equiv_test.go enforces that.
 
 // mltdScratch holds the reusable buffers of the scan; all grow on first
 // use and make repeat scans allocation-free.
 type mltdScratch struct {
 	rowMin [][]float64 // per distinct width: cells-sized windowed row minima
-	left   []float64   // strictly-left window minima of the current row
-	right  []float64   // strictly-right window minima of the current row
 	mltd   []float64   // cells-sized MLTD output
-	deque  []int       // monotone deque of candidate indices
+	gen    uint64      // scans run so far; stamps FrameAnalysis
 }
 
-func (s *mltdScratch) grow(nWidths, cells, nx int) {
+func (s *mltdScratch) grow(nWidths, cells int) {
 	for len(s.rowMin) < nWidths {
 		s.rowMin = append(s.rowMin, nil)
 	}
@@ -43,90 +47,35 @@ func (s *mltdScratch) grow(nWidths, cells, nx int) {
 		s.mltd = make([]float64, cells)
 	}
 	s.mltd = s.mltd[:cells]
-	if cap(s.deque) < nx {
-		s.deque = make([]int, nx)
-	}
-	s.deque = s.deque[:nx]
-	if cap(s.left) < nx {
-		s.left = make([]float64, nx)
-		s.right = make([]float64, nx)
-	}
-	s.left, s.right = s.left[:nx], s.right[:nx]
 }
 
-// windowMinInto fills out[x] with min(row[max(0,x-w) .. min(nx-1,x+w)])
-// using a monotone deque: indices in deq hold strictly increasing values,
-// so the head is always the window minimum.
-func windowMinInto(row, out []float64, deq []int, w int) {
-	nx := len(row)
-	head, tail, cursor := 0, 0, 0
-	for x := 0; x < nx; x++ {
-		hi := x + w
-		if hi > nx-1 {
-			hi = nx - 1
-		}
-		for ; cursor <= hi; cursor++ {
-			v := row[cursor]
-			for tail > head && row[deq[tail-1]] >= v {
-				tail--
-			}
-			deq[tail] = cursor
-			tail++
-		}
-		for deq[head] < x-w {
-			head++
-		}
-		out[x] = row[deq[head]]
+// minInto lowers dst[i] to src[i] wherever src[i] is smaller.
+func minInto(dst, src []float64) {
+	src = src[:len(dst)]
+	for i, v := range src {
+		dst[i] = min(dst[i], v)
 	}
 }
 
-// sideMinsInto fills left[x] = min(row[x-w .. x-1]) and
-// right[x] = min(row[x+1 .. x+w]) (clamped to the row; +Inf when the
-// window is empty) — together they are the dy = 0 chord of the disk
-// with the center cell excluded.
-func sideMinsInto(row, left, right []float64, deq []int, w int) {
+// rowMinsInto runs the incremental-width pass over one row. It leaves
+// excl_rad (the centre-excluded dy = 0 chord, +Inf where the row offers
+// no neighbour) in excl and stores min(row[x], excl_w[x]) at offset off
+// of the row-minimum buffer of every chord width w.
+func (a *Analyzer) rowMinsInto(row, excl []float64, rowMin [][]float64, off int) {
 	nx := len(row)
-	head, tail := 0, 0
-	for x := 0; x < nx; x++ {
-		if x > 0 {
-			v := row[x-1]
-			for tail > head && row[deq[tail-1]] >= v {
-				tail--
-			}
-			deq[tail] = x - 1
-			tail++
-		}
-		for tail > head && deq[head] < x-w {
-			head++
-		}
-		if tail > head {
-			left[x] = row[deq[head]]
-		} else {
-			left[x] = math.Inf(1)
-		}
+	inf := math.Inf(1)
+	for x := range excl {
+		excl[x] = inf
 	}
-	head, tail = 0, 0
-	cursor := 1
-	for x := 0; x < nx; x++ {
-		hi := x + w
-		if hi > nx-1 {
-			hi = nx - 1
+	for w := 0; w <= a.rad; w++ {
+		if w > 0 && w < nx {
+			minInto(excl[w:], row[:nx-w]) // left neighbour x−w
+			minInto(excl[:nx-w], row[w:]) // right neighbour x+w
 		}
-		for ; cursor <= hi; cursor++ {
-			v := row[cursor]
-			for tail > head && row[deq[tail-1]] >= v {
-				tail--
-			}
-			deq[tail] = cursor
-			tail++
-		}
-		for tail > head && deq[head] <= x {
-			head++
-		}
-		if tail > head {
-			right[x] = row[deq[head]]
-		} else {
-			right[x] = math.Inf(1)
+		if wi := a.widthIdx[w]; wi >= 0 {
+			out := rowMin[wi][off : off+nx]
+			copy(out, row)
+			minInto(out, excl)
 		}
 	}
 }
@@ -137,38 +86,24 @@ func (a *Analyzer) mltdScan(f *geometry.Field) []float64 {
 	a.checkShape(f)
 	nx, ny := a.nx, a.ny
 	s := &a.scratch
-	s.grow(len(a.widths), nx*ny, nx)
+	s.grow(len(a.widths), nx*ny)
+	s.gen++
 
-	for wi, w := range a.widths {
-		out := s.rowMin[wi]
-		for y := 0; y < ny; y++ {
-			windowMinInto(f.Data[y*nx:(y+1)*nx], out[y*nx:(y+1)*nx], s.deque, w)
-		}
+	for y := 0; y < ny; y++ {
+		off := y * nx
+		a.rowMinsInto(f.Data[off:off+nx], s.mltd[off:off+nx], s.rowMin, off)
 	}
 	for y := 0; y < ny; y++ {
 		row := f.Data[y*nx : (y+1)*nx]
 		m := s.mltd[y*nx : (y+1)*nx]
-		sideMinsInto(row, s.left, s.right, s.deque, a.rad)
-		for x := 0; x < nx; x++ {
-			l, r := s.left[x], s.right[x]
-			if r < l {
-				l = r
-			}
-			m[x] = l
-		}
 		for _, ch := range a.chords {
 			yy := y + ch.dy
 			if yy < 0 || yy >= ny {
 				continue
 			}
-			rm := s.rowMin[ch.wIdx][yy*nx : (yy+1)*nx]
-			for x := 0; x < nx; x++ {
-				if rm[x] < m[x] {
-					m[x] = rm[x]
-				}
-			}
+			minInto(m, s.rowMin[ch.wIdx][yy*nx:(yy+1)*nx])
 		}
-		for x := 0; x < nx; x++ {
+		for x := range m {
 			if math.IsInf(m[x], 1) {
 				m[x] = 0
 				continue

@@ -21,11 +21,17 @@ const (
 	MetricStagePower = StagePrefix + "power"
 	// MetricStageThermal covers the thermal solver step.
 	MetricStageThermal = StagePrefix + "thermal"
+	// MetricStageRecord covers controller steering, the per-step series
+	// appends (temperature, power, IPC, cell deltas) and frame sampling.
+	MetricStageRecord = StagePrefix + "record"
+	// MetricStageAnalysis covers the per-frame hotspot analysis: the
+	// shared MLTD scan, the MLTD and severity maxima (per die on a
+	// stack) and unit severity.
+	MetricStageAnalysis = StagePrefix + "analysis"
+	// MetricStagePercentiles covers the temperature percentiles.
+	MetricStagePercentiles = StagePrefix + "percentiles"
 	// MetricStageDetect covers hotspot detection.
 	MetricStageDetect = StagePrefix + "detect"
-	// MetricStageRecord covers controller steering and per-step series
-	// recording (MLTD, severity, percentiles, deltas, frames).
-	MetricStageRecord = StagePrefix + "record"
 
 	// MetricRuns counts completed Run invocations.
 	MetricRuns = "sim/runs"
@@ -116,7 +122,8 @@ type runMetrics struct {
 	checkpoints, ckptErrors, resumes           *obs.Counter
 	steadyJumps, steadySkips                   *obs.Counter
 
-	run, setup, perf, power, thermal, detect, record *obs.Timer
+	run, setup, perf, power, thermal      *obs.Timer
+	record, analysis, percentiles, detect *obs.Timer
 }
 
 // newRunMetrics resolves every handle once so the hot loop never
@@ -140,7 +147,9 @@ func newRunMetrics(r *obs.Registry) runMetrics {
 		perf:        r.Timer(MetricStagePerf),
 		power:       r.Timer(MetricStagePower),
 		thermal:     r.Timer(MetricStageThermal),
-		detect:      r.Timer(MetricStageDetect),
 		record:      r.Timer(MetricStageRecord),
+		analysis:    r.Timer(MetricStageAnalysis),
+		percentiles: r.Timer(MetricStagePercentiles),
+		detect:      r.Timer(MetricStageDetect),
 	}
 }

@@ -42,7 +42,8 @@ func TestRunRecordsMetrics(t *testing.T) {
 		t.Errorf("%s = %d, want %d", MetricThermalStability, got, res.StepsRun)
 	}
 
-	for _, name := range []string{MetricStageSetup, MetricStagePerf, MetricStagePower, MetricStageThermal, MetricStageDetect, MetricStageRecord, MetricRunTime} {
+	for _, name := range []string{MetricStageSetup, MetricStagePerf, MetricStagePower, MetricStageThermal,
+		MetricStageRecord, MetricStageAnalysis, MetricStagePercentiles, MetricStageDetect, MetricRunTime} {
 		if _, ok := s.Timers[name]; !ok {
 			t.Errorf("timer %s missing from snapshot", name)
 		}

@@ -243,10 +243,18 @@ func RunCtx(ctx context.Context, cfg Config) (res *Result, err error) {
 	prevField := grid.ActiveFieldAt(state, stk.corePlane)
 	curField := geometry.NewField(grid.NX, grid.NY, cfg.Resolution)
 	powerField := stk.coreFrame()
+	// The other dies' severity gets its own analyzer, so scanning them
+	// never overwrites the core plane's scan that detection reads.
 	var dieField *geometry.Field
+	var dieAnalyzer *core.Analyzer
 	if stacked && cfg.Record.Severity {
 		dieField = geometry.NewField(grid.NX, grid.NY, cfg.Resolution)
+		if dieAnalyzer, err = core.NewAnalyzer(proto, cfg.Definition); err != nil {
+			return nil, err
+		}
 	}
+	var sel stats.Selector // percentile scratch, reused every step
+	var pcts [5]float64
 	tempTh := analyzer.Definition().TempThreshold
 
 	curCore := cfg.Core
@@ -379,37 +387,10 @@ func RunCtx(ctx context.Context, cfg Config) (res *Result, err error) {
 			res.Power = append(res.Power, pr.TotalPower())
 		}
 		res.IPC = append(res.IPC, act.Counters.IPC())
-		if cfg.Record.MLTD {
-			res.MLTD = append(res.MLTD, analyzer.MaxMLTD(field))
-		}
-		if cfg.Record.Severity {
-			sev := analyzer.MaxSeverity(field)
-			res.Severity = append(res.Severity, sev)
-			if stacked {
-				for i := 0; i < planes; i++ {
-					s := sev
-					if i != stk.corePlane {
-						if err := grid.ActiveFieldAtInto(state, i, dieField); err != nil {
-							return nil, err
-						}
-						s = analyzer.MaxSeverity(dieField)
-					}
-					res.DieSeverity[i] = append(res.DieSeverity[i], s)
-				}
-			}
-		}
-		if cfg.Record.TempPercentiles {
-			p := stats.Percentiles(field.Data, 5, 25, 50, 75, 95)
-			res.TempPcts = append(res.TempPcts, [5]float64{p[0], p[1], p[2], p[3], p[4]})
-		}
 		if cfg.Record.CellDeltas {
 			for i := range field.Data {
 				res.DeltaHist.Add(field.Data[i] - prevField.Data[i])
 			}
-		}
-		for _, name := range cfg.Record.UnitSeverity {
-			res.UnitSeverity[name] = append(res.UnitSeverity[name],
-				unitSeverity(fp, analyzer, field, name))
 		}
 		if cfg.Record.FieldEvery > 0 && step%cfg.Record.FieldEvery == 0 {
 			res.Fields = append(res.Fields, field.Clone())
@@ -418,9 +399,51 @@ func RunCtx(ctx context.Context, cfg Config) (res *Result, err error) {
 		}
 		recordSpan.End()
 
-		// Hotspot detection. A frame whose hottest cell is at or below
-		// the temperature threshold provably contains no hotspot
-		// (Definition 1 requires T > T_th), so the whole pass is skipped.
+		// Hotspot analysis: one MLTD scan of the frame feeds the MLTD and
+		// severity series, unit severity and (below) detection.
+		var fa core.FrameAnalysis // zero unless this step scanned the frame
+		if cfg.Record.MLTD || cfg.Record.Severity || len(cfg.Record.UnitSeverity) > 0 {
+			analysisSpan := m.analysis.Start()
+			if cfg.Record.Severity || len(cfg.Record.UnitSeverity) > 0 {
+				fa = analyzer.AnalyzeFrame(field)
+			} else {
+				fa.MaxMLTD = analyzer.MaxMLTD(field) // no severity to evaluate
+			}
+			if cfg.Record.MLTD {
+				res.MLTD = append(res.MLTD, fa.MaxMLTD)
+			}
+			if cfg.Record.Severity {
+				res.Severity = append(res.Severity, fa.MaxSeverity)
+				if stacked {
+					for i := 0; i < planes; i++ {
+						s := fa.MaxSeverity
+						if i != stk.corePlane {
+							if err := grid.ActiveFieldAtInto(state, i, dieField); err != nil {
+								return nil, err
+							}
+							s = dieAnalyzer.MaxSeverity(dieField)
+						}
+						res.DieSeverity[i] = append(res.DieSeverity[i], s)
+					}
+				}
+			}
+			for _, name := range cfg.Record.UnitSeverity {
+				res.UnitSeverity[name] = append(res.UnitSeverity[name],
+					unitSeverity(fp, field, fa.MLTD, name))
+			}
+			analysisSpan.End()
+		}
+		if cfg.Record.TempPercentiles {
+			pctSpan := m.percentiles.Start()
+			sel.PercentilesInto(pcts[:], field.Data, 5, 25, 50, 75, 95)
+			res.TempPcts = append(res.TempPcts, pcts)
+			pctSpan.End()
+		}
+
+		// Hotspot detection, reading MLTD from the analysis scan when this
+		// step ran one. A frame whose hottest cell is at or below the
+		// temperature threshold provably contains no hotspot (Definition 1
+		// requires T > T_th), so the whole pass is skipped.
 		needDetect := cfg.StopAtHotspot || cfg.Record.HotspotUnits || res.TUHStep < 0
 		if needDetect && maxT <= tempTh {
 			needDetect = false
@@ -428,7 +451,7 @@ func RunCtx(ctx context.Context, cfg Config) (res *Result, err error) {
 		}
 		if needDetect {
 			detectSpan := m.detect.Start()
-			hs := analyzer.Detect(field)
+			hs := analyzer.DetectWith(field, fa)
 			m.hotspots.Add(int64(len(hs)))
 			if len(hs) > 0 {
 				if res.TUHStep < 0 {
@@ -642,10 +665,11 @@ func scaleActivity(a perf.Activity, k float64) perf.Activity {
 
 // unitSeverity evaluates the unit-local hotspot severity: the maximum of
 // sev(T, MLTD) over the central region of the unit (the central half in
-// each dimension). The central region is where the unit's own switching
-// power concentrates; edge cells mostly report the neighbours'
+// each dimension), reading MLTD from the frame's row-major scan mltd.
+// The central region is where the unit's own switching power
+// concentrates; edge cells mostly report the neighbours'
 // temperature, which would mask the effect of scaling the unit itself.
-func unitSeverity(fp *floorplan.Floorplan, analyzer *core.Analyzer, field *geometry.Field, name string) float64 {
+func unitSeverity(fp *floorplan.Floorplan, field *geometry.Field, mltd []float64, name string) float64 {
 	u, ok := fp.Unit(name)
 	if !ok {
 		return 0
@@ -659,7 +683,8 @@ func unitSeverity(fp *floorplan.Floorplan, analyzer *core.Analyzer, field *geome
 	ix1, iy1, _ := field.CellAt(r.MaxX()-1e-9, r.MaxY()-1e-9)
 	for iy := max(iy0, 0); iy <= min(iy1, field.NY-1); iy++ {
 		for ix := max(ix0, 0); ix <= min(ix1, field.NX-1); ix++ {
-			if s := core.Severity(field.At(ix, iy), analyzer.MLTDAt(field, ix, iy)); s > best {
+			i := iy*field.NX + ix
+			if s := core.Severity(field.Data[i], mltd[i]); s > best {
 				best = s
 			}
 		}

@@ -3,70 +3,161 @@ package stats
 import (
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 	"sort"
 )
 
 // Percentile returns the p-th percentile (0 ≤ p ≤ 100) of xs using linear
-// interpolation between order statistics. It copies and sorts internally.
-// Any NaN in xs makes the result NaN: sort.Float64s leaves NaNs wherever
-// comparisons abandoned them, so order statistics over a NaN-bearing
-// slice would otherwise depend on the input order. Propagating NaN keeps
-// the poison visible and deterministic.
+// interpolation between order statistics. It does not modify xs.
+// Any NaN in xs makes the result NaN: order statistics over a
+// NaN-bearing slice have no consistent meaning (NaN compares false
+// both ways, so sorts and selections leave it wherever the comparisons
+// abandoned it), and propagating NaN keeps the poison visible and
+// deterministic.
 func Percentile(xs []float64, p float64) float64 {
-	s := sortedOrNaN(xs)
-	if s == nil {
-		return math.NaN()
-	}
-	return percentileSorted(s, p)
+	return Percentiles(xs, p)[0]
 }
 
-// sortedOrNaN returns a sorted copy of xs, or nil when xs is empty or
-// contains a NaN (the caller then reports NaN deterministically).
-func sortedOrNaN(xs []float64) []float64 {
-	if len(xs) == 0 {
-		return nil
-	}
-	s := append([]float64(nil), xs...)
-	for _, v := range s {
-		if math.IsNaN(v) {
-			return nil
-		}
-	}
-	sort.Float64s(s)
-	return s
-}
-
-func percentileSorted(s []float64, p float64) float64 {
-	if p <= 0 {
-		return s[0]
-	}
-	if p >= 100 {
-		return s[len(s)-1]
-	}
-	pos := p / 100 * float64(len(s)-1)
-	lo := int(math.Floor(pos))
-	frac := pos - float64(lo)
-	if lo+1 >= len(s) {
-		return s[lo]
-	}
-	return s[lo]*(1-frac) + s[lo+1]*frac
-}
-
-// Percentiles evaluates several percentiles with a single sort. Like
-// Percentile, a NaN anywhere in xs makes every output NaN.
+// Percentiles evaluates several percentiles of xs by selection: only the
+// order statistics the interpolation reads are placed, not the whole
+// slice sorted. Like Percentile, a NaN anywhere in xs makes every output
+// NaN, and xs is not modified.
 func Percentiles(xs []float64, ps ...float64) []float64 {
 	out := make([]float64, len(ps))
-	s := sortedOrNaN(xs)
-	if s == nil {
+	var sel Selector
+	sel.PercentilesInto(out, xs, ps...)
+	return out
+}
+
+// Selector evaluates percentiles with reusable scratch buffers, so a
+// caller summarizing one frame per step allocates nothing once the
+// buffers have grown to the frame size. A Selector must not be used
+// from concurrent goroutines; the zero value is ready to use.
+type Selector struct {
+	buf   []float64
+	ranks []int
+}
+
+// PercentilesInto writes Percentiles(xs, ps...) into out, which must
+// have len(ps) elements. The results are bit-identical to sorting a
+// copy of xs and interpolating between its order statistics.
+func (sel *Selector) PercentilesInto(out, xs []float64, ps ...float64) {
+	if len(out) != len(ps) {
+		panic(fmt.Sprintf("stats: %d outputs for %d percentiles", len(out), len(ps)))
+	}
+	if len(xs) == 0 || hasNaN(xs) {
 		for i := range out {
 			out[i] = math.NaN()
 		}
-		return out
+		return
 	}
+	n := len(xs)
+	sel.buf = append(sel.buf[:0], xs...)
+	sel.ranks = sel.ranks[:0]
+	for _, p := range ps {
+		lo, hi, _ := percentileRanks(n, p)
+		sel.ranks = append(sel.ranks, lo, hi)
+	}
+	slices.Sort(sel.ranks)
+	sel.ranks = slices.Compact(sel.ranks)
+	selectRanks(sel.buf, sel.ranks, 2*bits.Len(uint(n)))
 	for i, p := range ps {
-		out[i] = percentileSorted(s, p)
+		out[i] = percentileSorted(sel.buf, p)
 	}
-	return out
+}
+
+func hasNaN(xs []float64) bool {
+	for _, v := range xs {
+		if math.IsNaN(v) {
+			return true
+		}
+	}
+	return false
+}
+
+// percentileRanks returns the ranks of the order statistics the p-th
+// percentile of n values interpolates between (hi == lo when it reads a
+// single one) and the interpolation weight of hi.
+func percentileRanks(n int, p float64) (lo, hi int, frac float64) {
+	if p <= 0 {
+		return 0, 0, 0
+	}
+	if p >= 100 {
+		return n - 1, n - 1, 0
+	}
+	pos := p / 100 * float64(n-1)
+	lo = int(math.Floor(pos))
+	if lo+1 >= n {
+		return lo, lo, 0
+	}
+	return lo, lo + 1, pos - float64(lo)
+}
+
+// percentileSorted evaluates the p-th percentile of s, which must hold
+// at every rank percentileRanks names the value a full sort would put
+// there (a sorted slice, or one selectRanks has partially ordered).
+func percentileSorted(s []float64, p float64) float64 {
+	lo, hi, frac := percentileRanks(len(s), p)
+	if hi == lo {
+		return s[lo]
+	}
+	return s[lo]*(1-frac) + s[hi]*frac
+}
+
+// selectRanks partially orders s, which must be NaN-free, so that s[r]
+// holds the value a full sort would put at index r, for every r in
+// ranks (ascending, distinct, each < len(s)): the multi-rank
+// nth-element. Each round three-way partitions around a median-of-three
+// pivot, so a run of ties is settled in one pass, and descends only into
+// the sides that still hold a wanted rank. Once depth rounds are spent
+// the remaining subslice is sorted outright, bounding the worst case at
+// O(n log n).
+func selectRanks(s []float64, ranks []int, depth int) {
+	for len(ranks) > 0 {
+		if len(s) <= 16 || depth == 0 {
+			slices.Sort(s)
+			return
+		}
+		depth--
+		lt, gt := partition3(s)
+		left := ranks[:sort.SearchInts(ranks, lt)]
+		right := ranks[sort.SearchInts(ranks, gt):]
+		selectRanks(s[:lt], left, depth)
+		for i := range right {
+			right[i] -= gt
+		}
+		s, ranks = s[gt:], right
+	}
+}
+
+// partition3 reorders s around the median of its first, middle and last
+// values into s[:lt] < pivot, s[lt:gt] == pivot and s[gt:] > pivot.
+func partition3(s []float64) (lt, gt int) {
+	a, b, c := s[0], s[len(s)/2], s[len(s)-1]
+	if a > b {
+		a, b = b, a
+	}
+	if b > c {
+		b = c
+	}
+	pivot := max(a, b)
+	i := 0
+	gt = len(s)
+	for i < gt {
+		switch v := s[i]; {
+		case v < pivot:
+			s[lt], s[i] = v, s[lt]
+			lt++
+			i++
+		case v > pivot:
+			gt--
+			s[i], s[gt] = s[gt], v
+		default:
+			i++
+		}
+	}
+	return lt, gt
 }
 
 // Box is a five-number box-and-whisker summary (Fig. 11's plot elements:
@@ -80,19 +171,8 @@ type Box struct {
 // NaN (N still reports the input length), matching Percentile's
 // deterministic propagation.
 func BoxOf(xs []float64) Box {
-	s := sortedOrNaN(xs)
-	if s == nil {
-		nan := math.NaN()
-		return Box{N: len(xs), Min: nan, Q1: nan, Median: nan, Q3: nan, Max: nan}
-	}
-	return Box{
-		N:      len(s),
-		Min:    s[0],
-		Q1:     percentileSorted(s, 25),
-		Median: percentileSorted(s, 50),
-		Q3:     percentileSorted(s, 75),
-		Max:    s[len(s)-1],
-	}
+	p := Percentiles(xs, 0, 25, 50, 75, 100)
+	return Box{N: len(xs), Min: p[0], Q1: p[1], Median: p[2], Q3: p[3], Max: p[4]}
 }
 
 // IQR returns the interquartile range.

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -231,5 +232,128 @@ func TestHistogramBinCenter(t *testing.T) {
 	}
 	if c := h.BinCenter(4); c != 9 {
 		t.Fatalf("bin 4 center = %v", c)
+	}
+}
+
+// sortedPercentile is the reference the selection path must reproduce:
+// a fully sorted copy read by percentileSorted.
+func sortedPercentile(xs []float64, p float64) float64 {
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	return percentileSorted(s, p)
+}
+
+// TestPercentilesSelectionMatchesSortProperty pins selection against the
+// sort-based reference, exactly, on random sizes with heavy ties and on
+// the orderings that defeat naive pivots (sorted, reversed, constant,
+// organ pipe), for every shape of the API: Percentiles, Percentile,
+// BoxOf and a reused Selector.
+func TestPercentilesSelectionMatchesSortProperty(t *testing.T) {
+	ps := []float64{0, 5, 25, 33.3, 50, 75, 95, 100}
+	rng := rand.New(rand.NewSource(7))
+	var sel Selector
+	check := func(name string, xs []float64) {
+		t.Helper()
+		orig := append([]float64(nil), xs...)
+		got := Percentiles(xs, ps...)
+		into := make([]float64, len(ps))
+		sel.PercentilesInto(into, xs, ps...)
+		for i, p := range ps {
+			want := sortedPercentile(xs, p)
+			if got[i] != want || into[i] != want || Percentile(xs, p) != want {
+				t.Fatalf("%s n=%d P%v: Percentiles %v, Selector %v, Percentile %v, sorted reference %v",
+					name, len(xs), p, got[i], into[i], Percentile(xs, p), want)
+			}
+		}
+		b := BoxOf(xs)
+		if b.N != len(xs) || b.Min != got[0] || b.Q1 != got[2] || b.Median != got[4] || b.Q3 != got[5] || b.Max != got[7] {
+			t.Fatalf("%s n=%d: BoxOf %+v inconsistent with Percentiles %v", name, len(xs), b, got)
+		}
+		for i := range xs {
+			if xs[i] != orig[i] {
+				t.Fatalf("%s n=%d: input mutated", name, len(xs))
+			}
+		}
+	}
+	for trial := 0; trial < 400; trial++ {
+		n := 1 + rng.Intn(500)
+		distinct := 1 + rng.Intn(1+n/4) // heavy ties: at most n/4+1 values
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = float64(rng.Intn(distinct)) * 0.37
+		}
+		check("ties", xs)
+		for i := range xs {
+			xs[i] = rng.NormFloat64() * 20
+		}
+		check("random", xs)
+		sort.Float64s(xs)
+		check("sorted", xs)
+		for i, j := 0, len(xs)-1; i < j; i, j = i+1, j-1 {
+			xs[i], xs[j] = xs[j], xs[i]
+		}
+		check("reversed", xs)
+		for i := range xs {
+			xs[i] = float64(min(i, n-1-i))
+		}
+		check("organ-pipe", xs)
+	}
+	check("constant", []float64{4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4})
+	check("infinities", []float64{math.Inf(1), 3, math.Inf(-1), 3, 1, math.Inf(1)})
+}
+
+// TestPercentilesNaNAndEmpty: the NaN rule and the empty input hold on
+// the selection path and on a reused Selector.
+func TestPercentilesNaNAndEmpty(t *testing.T) {
+	ps := []float64{0, 5, 25, 33.3, 50, 75, 95, 100}
+	var sel Selector
+	out := make([]float64, len(ps))
+	for _, xs := range [][]float64{nil, {}, {math.NaN()}, {1, 2, math.NaN(), 4}, {math.NaN(), 1, 1, 1}} {
+		sel.PercentilesInto(out, xs, ps...)
+		for i, v := range Percentiles(xs, ps...) {
+			if !math.IsNaN(v) || !math.IsNaN(out[i]) {
+				t.Fatalf("%v: P%v = %v / %v, want NaN", xs, ps[i], v, out[i])
+			}
+		}
+		if b := BoxOf(xs); b.N != len(xs) || !math.IsNaN(b.Min) || !math.IsNaN(b.Max) {
+			t.Fatalf("%v: box %+v, want NaN summary", xs, b)
+		}
+	}
+}
+
+// TestSelectRanksDepthFallback drives the sort fallback that bounds the
+// selection's worst case: with no partition rounds left, every wanted
+// rank must still hold its sorted value.
+func TestSelectRanksDepthFallback(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, depth := range []int{0, 1, 2} {
+		xs := make([]float64, 300)
+		for i := range xs {
+			xs[i] = float64(rng.Intn(40))
+		}
+		want := append([]float64(nil), xs...)
+		sort.Float64s(want)
+		ranks := []int{0, 17, 150, 151, 298, 299}
+		selectRanks(xs, append([]int(nil), ranks...), depth)
+		for _, r := range ranks {
+			if xs[r] != want[r] {
+				t.Fatalf("depth %d rank %d: %v, want %v", depth, r, xs[r], want[r])
+			}
+		}
+	}
+}
+
+func TestSelectorNoAllocsAfterWarmup(t *testing.T) {
+	xs := make([]float64, 46*31)
+	for i := range xs {
+		xs[i] = 60 + 40*math.Sin(float64(i)/17)
+	}
+	var sel Selector
+	out := make([]float64, 5)
+	sel.PercentilesInto(out, xs, 5, 25, 50, 75, 95)
+	if allocs := testing.AllocsPerRun(10, func() {
+		sel.PercentilesInto(out, xs, 5, 25, 50, 75, 95)
+	}); allocs != 0 {
+		t.Fatalf("PercentilesInto allocates %v objects per call after warmup", allocs)
 	}
 }
