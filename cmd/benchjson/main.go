@@ -154,7 +154,7 @@ func meta() Meta {
 			cells = g.NX * g.NY * g.NL
 		}
 	}
-	return Meta{GitSHA: sha, GridCells: cells, Solvers: []string{"explicit", "implicit", "adi"}, Stacks: sim.StackPresets()}
+	return Meta{GitSHA: sha, GridCells: cells, Solvers: []string{"explicit", "adi"}, Stacks: sim.StackPresets()}
 }
 
 // loadSummary reads either the current object form or the legacy bare

@@ -53,8 +53,6 @@ type options struct {
 	solver      string
 	solverTol   float64
 	stack       string
-	fastSteady  bool
-	steadyTol   float64
 	outDir      string
 	heatmap     bool
 	saveTrace   string
@@ -87,11 +85,9 @@ func main() {
 	flag.Float64Var(&o.tempTh, "temp-threshold", 80, "hotspot temperature threshold [C]")
 	flag.Float64Var(&o.mltdTh, "mltd-threshold", 25, "hotspot MLTD threshold [C]")
 	flag.Float64Var(&o.radius, "radius", 1.0, "MLTD radius [mm]")
-	flag.StringVar(&o.solver, "solver", "", "thermal solver: explicit (default), implicit or adi (adaptive ADI, the campaign fast solver)")
-	flag.Float64Var(&o.solverTol, "solver-tol", 0, "solver accuracy knob: implicit inner-sweep tolerance or ADI per-step error budget [C] (0 = solver default)")
+	flag.StringVar(&o.solver, "solver", "", "thermal solver: explicit (default) or adi (adaptive ADI, the campaign fast solver)")
+	flag.Float64Var(&o.solverTol, "solver-tol", 0, "ADI per-step error budget [C] (0 = solver default; ignored for explicit)")
 	flag.StringVar(&o.stack, "stack", "", "stacked-scenario preset: core-on-memory, memory-on-core or gpu-sm (empty = single die)")
-	flag.BoolVar(&o.fastSteady, "fast-steady", false, "jump constant-power stretches straight to the steady-state solution instead of integrating the settling tail")
-	flag.Float64Var(&o.steadyTol, "fast-steady-tol", 0, "relative per-step power delta below which frames count as steady for -fast-steady (0 = 1e-3)")
 	flag.StringVar(&o.outDir, "out", "", "directory for CSV artifacts (series + frames)")
 	flag.BoolVar(&o.heatmap, "heatmap", true, "print the final junction heatmap")
 	showPlan := flag.Bool("floorplan", false, "print the floorplan map and exit")
@@ -180,8 +176,6 @@ func run(o options) error {
 		},
 		StopAtHotspot: o.stop,
 		UseCycleModel: o.cycleModel,
-		FastSteady:    o.fastSteady,
-		FastSteadyTol: o.steadyTol,
 		StackPreset:   o.stack,
 	}
 	solver, err := thermal.NewSolver(o.solver, o.solverTol)

@@ -71,7 +71,7 @@ func TestInternalPackageDocs(t *testing.T) {
 // flag cmd/hotgauged defines must be documented there as `-name`, so a
 // new daemon flag cannot ship without its operator documentation.
 func TestOperationsDocCoversAllFlags(t *testing.T) {
-	flags := hotgaugedFlags(t)
+	flags := cmdFlags(t, "hotgauged")
 	if len(flags) < 15 {
 		t.Fatalf("found only %d hotgauged flags; the flag scan is broken: %v", len(flags), flags)
 	}
@@ -80,42 +80,100 @@ func TestOperationsDocCoversAllFlags(t *testing.T) {
 		t.Fatalf("docs/OPERATIONS.md must exist and document every hotgauged flag: %v", err)
 	}
 	text := string(doc)
-	for _, name := range flags {
+	for name := range flags {
 		if !strings.Contains(text, "`-"+name+"`") && !strings.Contains(text, "`-"+name+" ") {
 			t.Errorf("docs/OPERATIONS.md does not document the hotgauged flag -%s", name)
 		}
 	}
 }
 
-// hotgaugedFlags parses cmd/hotgauged/main.go and returns the name of
-// every flag.String/Int/Bool/Duration/... definition.
-func hotgaugedFlags(t *testing.T) []string {
+// TestDocFlagTablesMatchBinaries is the reverse direction: every
+// `-flag` in a flag table of README.md or docs/OPERATIONS.md must be
+// registered by the binary that table documents, so a flag deleted from
+// a binary cannot linger in the docs. OPERATIONS.md documents
+// cmd/hotgauged throughout; README.md's "Campaign service daemon"
+// section documents cmd/hotgauged and its other tables cmd/hotgauge.
+func TestDocFlagTablesMatchBinaries(t *testing.T) {
+	registered := map[string]map[string]bool{
+		"hotgauge":  cmdFlags(t, "hotgauge"),
+		"hotgauged": cmdFlags(t, "hotgauged"),
+	}
+	rowRe := regexp.MustCompile("^\\|\\s*`-([A-Za-z0-9-]+)[` ]")
+	checked := 0
+	for _, doc := range []string{"README.md", filepath.Join("docs", "OPERATIONS.md")} {
+		data, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		section := ""
+		for _, line := range strings.Split(string(data), "\n") {
+			if strings.HasPrefix(line, "## ") {
+				section = strings.TrimPrefix(line, "## ")
+				continue
+			}
+			m := rowRe.FindStringSubmatch(line)
+			if m == nil {
+				continue
+			}
+			cmd := "hotgauge"
+			if doc != "README.md" || section == "Campaign service daemon" {
+				cmd = "hotgauged"
+			}
+			if !registered[cmd][m[1]] {
+				t.Errorf("%s (%q) documents -%s, which cmd/%s does not register", doc, section, m[1], cmd)
+			}
+			checked++
+		}
+	}
+	if checked < 30 {
+		t.Fatalf("checked only %d flag-table rows; the table scan is broken", checked)
+	}
+}
+
+// flagRegistrars are the flag package functions that define a flag: the
+// plain forms take the name first, the *Var forms after the target.
+var flagRegistrars = map[string]bool{
+	"Bool": true, "Int": true, "Int64": true, "Uint": true, "Uint64": true,
+	"String": true, "Float64": true, "Duration": true, "Func": true, "BoolFunc": true,
+	"BoolVar": true, "IntVar": true, "Int64Var": true, "UintVar": true, "Uint64Var": true,
+	"StringVar": true, "Float64Var": true, "DurationVar": true, "Var": true, "TextVar": true,
+}
+
+// cmdFlags parses cmd/<name>/main.go and returns the name of every flag
+// it defines through the flag package.
+func cmdFlags(t *testing.T, name string) map[string]bool {
 	t.Helper()
 	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, filepath.Join("cmd", "hotgauged", "main.go"), nil, 0)
+	f, err := parser.ParseFile(fset, filepath.Join("cmd", name, "main.go"), nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var flags []string
+	flags := map[string]bool{}
 	ast.Inspect(f, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
-		if !ok || len(call.Args) == 0 {
+		if !ok {
 			return true
 		}
 		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok {
+		if !ok || !flagRegistrars[sel.Sel.Name] {
 			return true
 		}
 		if pkg, ok := sel.X.(*ast.Ident); !ok || pkg.Name != "flag" {
 			return true
 		}
-		lit, ok := call.Args[0].(*ast.BasicLit)
+		arg := 0
+		if strings.HasSuffix(sel.Sel.Name, "Var") {
+			arg = 1
+		}
+		if len(call.Args) <= arg {
+			return true
+		}
+		lit, ok := call.Args[arg].(*ast.BasicLit)
 		if !ok || lit.Kind != token.STRING {
 			return true
 		}
-		name := strings.Trim(lit.Value, `"`)
-		if name != "" {
-			flags = append(flags, name)
+		if flagName := strings.Trim(lit.Value, `"`); flagName != "" {
+			flags[flagName] = true
 		}
 		return true
 	})

@@ -180,10 +180,7 @@ func (s *Server) executeRemoteRun(ctx context.Context, run sim.RemoteRun) ([]byt
 		Workers:    1,
 		Obs:        s.reg,
 		RunTimeout: s.opts.RunTimeout,
-		Retry: sim.RetryPolicy{
-			MaxAttempts:      s.opts.Retries + 1,
-			ExplicitFallback: true,
-		},
+		Retry:      sim.RetryPolicy{MaxAttempts: s.opts.Retries + 1},
 		OnResult: func(_ int, r *sim.Result, err error) {
 			if err != nil {
 				runErr = err

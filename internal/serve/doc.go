@@ -19,8 +19,9 @@
 // The execution path is fault-tolerant: panicking, diverging or wedged
 // runs fail alone with per-run attribution (sim.RunCtx's panic
 // isolation plus Options.RunTimeout, counted in serve/timeouts), runs
-// failing transiently are retried with backoff (Options.Retries), jobs
-// are bounded by Options.JobTimeout, and submission bodies by
+// failing transiently are retried with backoff (Options.Retries) —
+// diverging ones on the unconditionally stable ADI solver — jobs are
+// bounded by Options.JobTimeout, and submission bodies by
 // Options.MaxBodyBytes (413). Options.FaultRate wires internal/fault's
 // random injection into every run for dev-mode recovery drills.
 package serve

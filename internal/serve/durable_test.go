@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 
@@ -163,6 +164,37 @@ func TestRecoveryRestoresTerminalStates(t *testing.T) {
 	}
 	if cancelled.State != JobCancelled || cancelled.Runs[0].State != RunSkipped {
 		t.Fatalf("restored cancelled job = %+v", cancelled)
+	}
+}
+
+// TestRecoveryFailsSpecThatNoLongerMaterializes replays a journal written
+// by an older daemon that still accepted the "implicit" solver: the
+// still-queued job comes back failed, with the reason, instead of being
+// dropped or run on a different solver.
+func TestRecoveryFailsSpecThatNoLongerMaterializes(t *testing.T) {
+	dir := t.TempDir()
+	st, err := store.Open(store.Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := `{"t":"submitted","job":"job-000007","specs":[{"workload":"gcc","steps":2,"solver":"implicit","solver_tol":1e-06}],` +
+		`"hashes":["` + strings.Repeat("ab", 32) + `"]}`
+	if err := st.Journal.Append([]byte(rec)); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	_, ts := newTestServer(t, Options{DataDir: dir})
+	var jst JobStatus
+	getJSON(t, ts, "/jobs/job-000007", &jst)
+	if jst.State != JobFailed || !jst.Recovered {
+		t.Fatalf("replayed job: state=%s recovered=%v, want failed/true", jst.State, jst.Recovered)
+	}
+	if !strings.Contains(jst.Error, "run 0 no longer materializes after restart") ||
+		!strings.Contains(jst.Error, `unknown solver "implicit"`) {
+		t.Fatalf("replayed job error %q lacks the materialization failure", jst.Error)
 	}
 }
 

@@ -53,7 +53,8 @@ type Options struct {
 	// Retries is how many times a run failing with a retryable error
 	// (sim.Retryable: injected transients, solver divergence) is
 	// re-attempted with exponential backoff, counted in sim/retries
-	// (0 = never). Solver divergence falls back to the implicit solver.
+	// (0 = never). A diverging run is retried on the unconditionally
+	// stable ADI solver.
 	Retries int
 	// MaxBodyBytes caps a POST /jobs request body (default 8 MiB);
 	// larger submissions are refused with 413.
@@ -116,7 +117,7 @@ type Options struct {
 	// solver unset — before hashing, deduplication and journaling, so the
 	// result cache, the journal and cluster workers all see the resolved
 	// spec rather than an ambient daemon setting. Must be a
-	// thermal.NewSolver name ("explicit", "implicit" or "adi"); empty
+	// thermal.NewSolver name ("explicit" or "adi"); empty
 	// keeps the simulator's explicit default.
 	DefaultSolver string
 
@@ -554,10 +555,7 @@ func (s *Server) runJob(j *Job) {
 			Workers:    s.opts.RunWorkers,
 			Obs:        s.reg,
 			RunTimeout: s.opts.RunTimeout,
-			Retry: sim.RetryPolicy{
-				MaxAttempts:      s.opts.Retries + 1,
-				ExplicitFallback: true,
-			},
+			Retry:      sim.RetryPolicy{MaxAttempts: s.opts.Retries + 1},
 			OnResult: func(k int, r *sim.Result, runErr error) {
 				i := missIdx[k]
 				switch {

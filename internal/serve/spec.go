@@ -55,24 +55,14 @@ type ConfigSpec struct {
 	RecordSeverity     bool `json:"record_severity,omitempty"`
 	RecordHotspotUnits bool `json:"record_hotspot_units,omitempty"`
 	// Solver selects the thermal solver: "" or "explicit" (forward
-	// Euler, the reference), "implicit" (backward Euler) or "adi" (the
-	// adaptive alternating-direction-implicit fast solver). "" and
-	// "explicit" hash identically. An unset solver inherits the daemon's
-	// -solver default at submission.
+	// Euler, the reference) or "adi" (the adaptive
+	// alternating-direction-implicit fast solver). "" and "explicit" hash
+	// identically. An unset solver inherits the daemon's -solver default
+	// at submission.
 	Solver string `json:"solver,omitempty"`
-	// SolverTol tunes the selected solver's accuracy knob — the implicit
-	// solver's inner-sweep tolerance or the ADI solver's per-step error
-	// budget [°C] (0 = the solver's documented default; ignored for
-	// explicit).
+	// SolverTol tunes the ADI solver's per-step error budget [°C]
+	// (0 = the documented default; ignored for explicit).
 	SolverTol float64 `json:"solver_tol,omitempty"`
-	// FastSteady opts into the steady-state fast path: constant-power
-	// stretches jump straight to the steady-state solution instead of
-	// integrating the settling tail (see sim.Config.FastSteady).
-	// FastSteadyAfter is the arming frame count (0 = 5) and
-	// FastSteadyTol the relative power-delta threshold (0 = 1e-3).
-	FastSteady      bool    `json:"fast_steady,omitempty"`
-	FastSteadyAfter int     `json:"fast_steady_after,omitempty"`
-	FastSteadyTol   float64 `json:"fast_steady_tol,omitempty"`
 	// Surrogate opts the run into predict-first triage when the daemon
 	// holds a fitted surrogate model (see sim.Config.Surrogate). A nil
 	// pointer inherits the daemon's -surrogate default at submission —
@@ -126,13 +116,10 @@ func (s ConfigSpec) Config() (sim.Config, error) {
 			Severity:     s.RecordSeverity,
 			HotspotUnits: s.RecordHotspotUnits,
 		},
-		FastSteady:      s.FastSteady,
-		FastSteadyAfter: s.FastSteadyAfter,
-		FastSteadyTol:   s.FastSteadyTol,
-		Surrogate:       s.Surrogate != nil && *s.Surrogate,
-		TriageBand:      s.TriageBand,
-		AuditFrac:       s.AuditFrac,
-		StackPreset:     s.Stack,
+		Surrogate:   s.Surrogate != nil && *s.Surrogate,
+		TriageBand:  s.TriageBand,
+		AuditFrac:   s.AuditFrac,
+		StackPreset: s.Stack,
 	}
 	if len(s.Layers) > 0 {
 		cfg.Stack = append([]thermal.Layer(nil), s.Layers...)

@@ -51,15 +51,6 @@ type Checkpoint struct {
 	// Multi-die series (stacked presets; see Result.DieMaxTemp).
 	DieMaxTemp, DieSeverity [][]float64
 	MemPower                []float64
-
-	// Steady-state fast-path detector state (Config.FastSteady): the
-	// previous frame's power map plus the consecutive-steady-frame count
-	// and converged flag. All zero when the fast path is off; restoring
-	// them makes a resumed fast-path run arm and jump on the same steps
-	// as an uninterrupted one.
-	PrevPower       []float64
-	SteadyFrames    int
-	SteadyConverged bool
 }
 
 // Checkpointer is the checkpoint seam on a run: RunCtx loads at start
@@ -78,9 +69,8 @@ type Checkpointer interface {
 }
 
 // snapshot builds a deep-copied checkpoint of the run after `done`
-// completed steps. sd is the steady-state fast-path detector (nil when
-// Config.FastSteady is off).
-func snapshot(state *thermal.State, res *Result, done, total int, sd *steadyDetector) *Checkpoint {
+// completed steps.
+func snapshot(state *thermal.State, res *Result, done, total int) *Checkpoint {
 	ck := &Checkpoint{
 		StepsDone:   done,
 		TotalSteps:  total,
@@ -118,11 +108,6 @@ func snapshot(state *thermal.State, res *Result, done, total int, sd *steadyDete
 			ck.HotspotUnit[k] = n
 		}
 	}
-	if sd != nil {
-		ck.PrevPower = append([]float64(nil), sd.prev...)
-		ck.SteadyFrames = sd.frames
-		ck.SteadyConverged = sd.converged
-	}
 	return ck
 }
 
@@ -148,7 +133,7 @@ func (ck *Checkpoint) valid(totalSteps, cells int) bool {
 // index to continue from is returned. A missing, unreadable or
 // mismatched checkpoint restarts from step 0 (unreadable ones count in
 // sim/checkpoint_errors).
-func (m runMetrics) resume(cfg Config, state *thermal.State, res *Result, src perf.Source, secondary map[int]perf.Source, sd *steadyDetector) int {
+func (m runMetrics) resume(cfg Config, state *thermal.State, res *Result, src perf.Source, secondary map[int]perf.Source) int {
 	ck, err := cfg.Checkpoint.Load()
 	if err != nil {
 		m.ckptErrors.Inc()
@@ -192,11 +177,6 @@ func (m runMetrics) resume(cfg Config, state *thermal.State, res *Result, src pe
 		for k, n := range ck.HotspotUnit {
 			res.HotspotUnit[k] = n
 		}
-	}
-	if sd != nil && len(ck.PrevPower) > 0 {
-		sd.prev = append([]float64(nil), ck.PrevPower...)
-		sd.frames = ck.SteadyFrames
-		sd.converged = ck.SteadyConverged
 	}
 	// Fast-forward the performance models over the completed steps by
 	// replaying their exact Step sequence: sources are deterministic, so

@@ -113,30 +113,6 @@ type Config struct {
 	// (the leakage ablation).
 	DisableLeakageFeedback bool
 
-	// FastSteady opts the run into the steady-state campaign fast path:
-	// when the rasterized power map stays relatively unchanged (within
-	// FastSteadyTol of its peak cell) for FastSteadyAfter consecutive
-	// frames, the run jumps the thermal state straight to the SOR
-	// steady-state solution for the current map and then skips the
-	// solver on subsequent constant frames, resuming normal transient
-	// integration the moment the power moves again. This collapses the
-	// exponential settling tail of long constant-power phases — the
-	// dominant cost of steady-state sweep campaigns — at the price of
-	// compressing that tail in time, so it changes what the run computes
-	// and is part of Config.Hash. Leakage feedback keeps working: a jump
-	// raises temperatures, the next frame's leakage rises, and the
-	// detector re-arms until power and temperature are self-consistent.
-	// Jumps are counted in sim/steady_jumps and skipped solver steps in
-	// sim/steady_steps_skipped.
-	FastSteady bool
-	// FastSteadyAfter is how many consecutive steady frames arm the jump
-	// (0 = 5).
-	FastSteadyAfter int
-	// FastSteadyTol is the relative power-delta threshold below which a
-	// frame counts as steady: max-cell |ΔP| ≤ FastSteadyTol · max-cell
-	// |P| (0 = 1e-3).
-	FastSteadyTol float64
-
 	// Surrogate opts this run into predict-first triage when it executes
 	// inside a campaign with CampaignOptions.Triage set: the surrogate
 	// model scores the config first, and the full pipeline runs only when
@@ -301,14 +277,6 @@ func (c *Config) normalize() error {
 	}
 	if c.SinkConductance == 0 {
 		c.SinkConductance = thermal.SinkConductance
-	}
-	if c.FastSteady {
-		if c.FastSteadyAfter <= 0 {
-			c.FastSteadyAfter = 5
-		}
-		if c.FastSteadyTol <= 0 {
-			c.FastSteadyTol = 1e-3
-		}
 	}
 	if c.Surrogate {
 		if c.TriageBand == 0 {

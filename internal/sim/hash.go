@@ -21,7 +21,7 @@ import (
 //
 // Configs carrying opaque behaviour the hash cannot canonically
 // represent — a custom perf.Source, a Controller, or a thermal.Solver
-// other than Explicit/Implicit/ADI — are rejected with an error, as is any
+// other than Explicit or ADI — are rejected with an error, as is any
 // config that fails validation. Config.Obs and solver tuning knobs that
 // are proven result-neutral (Explicit.Workers runs bit-identical at any
 // worker count) are excluded, as is the operational MaxWallTime budget
@@ -65,12 +65,7 @@ type canonicalConfig struct {
 	StackPreset    string  `json:"stack_preset,omitempty"`
 	SinkConduct    float64 `json:"sink_conductance"`
 	DisableLeakage bool    `json:"disable_leakage_feedback"`
-	// The steady-state fast-path fields are omitted when off, so every
-	// pre-existing config keeps its content address.
-	FastSteady      bool    `json:"fast_steady,omitempty"`
-	FastSteadyAfter int     `json:"fast_steady_after,omitempty"`
-	FastSteadyTol   float64 `json:"fast_steady_tol,omitempty"`
-	// Surrogate triage fields are likewise omitted when off: a triaged
+	// Surrogate triage fields are omitted when off: a triaged
 	// campaign's predicted-only payloads live at distinct content
 	// addresses from exact results, while untriaged configs keep their
 	// pre-existing hashes.
@@ -129,33 +124,30 @@ func (c Config) canonicalJSON() ([]byte, error) {
 	}
 
 	can := canonicalConfig{
-		Node:            int(cc.Floorplan.Node),
-		ICAreaFactor:    cc.Floorplan.ICAreaFactor,
-		CoreArea14:      cc.Floorplan.CoreArea14,
-		MirrorRight:     cc.Floorplan.MirrorRight,
-		RowShuffleSeed:  cc.Floorplan.RowShuffleSeed,
-		Workload:        cc.Workload,
-		SMTWorkload:     cc.SMTWorkload,
-		Core:            cc.Core,
-		Warmup:          cc.Warmup.String(),
-		Steps:           cc.Steps,
-		StopAtHotspot:   cc.StopAtHotspot,
-		Definition:      cc.Definition,
-		Resolution:      cc.Resolution,
-		Ambient:         cc.Ambient,
-		UseCycleModel:   cc.UseCycleModel,
-		CyclesPerStep:   cc.CyclesPerStep,
-		Solver:          solver,
-		Stack:           cc.Stack,
-		StackPreset:     cc.StackPreset,
-		SinkConduct:     cc.SinkConductance,
-		DisableLeakage:  cc.DisableLeakageFeedback,
-		FastSteady:      cc.FastSteady,
-		FastSteadyAfter: cc.FastSteadyAfter,
-		FastSteadyTol:   cc.FastSteadyTol,
-		Surrogate:       cc.Surrogate,
-		TriageBand:      cc.TriageBand,
-		AuditFrac:       cc.AuditFrac,
+		Node:           int(cc.Floorplan.Node),
+		ICAreaFactor:   cc.Floorplan.ICAreaFactor,
+		CoreArea14:     cc.Floorplan.CoreArea14,
+		MirrorRight:    cc.Floorplan.MirrorRight,
+		RowShuffleSeed: cc.Floorplan.RowShuffleSeed,
+		Workload:       cc.Workload,
+		SMTWorkload:    cc.SMTWorkload,
+		Core:           cc.Core,
+		Warmup:         cc.Warmup.String(),
+		Steps:          cc.Steps,
+		StopAtHotspot:  cc.StopAtHotspot,
+		Definition:     cc.Definition,
+		Resolution:     cc.Resolution,
+		Ambient:        cc.Ambient,
+		UseCycleModel:  cc.UseCycleModel,
+		CyclesPerStep:  cc.CyclesPerStep,
+		Solver:         solver,
+		Stack:          cc.Stack,
+		StackPreset:    cc.StackPreset,
+		SinkConduct:    cc.SinkConductance,
+		DisableLeakage: cc.DisableLeakageFeedback,
+		Surrogate:      cc.Surrogate,
+		TriageBand:     cc.TriageBand,
+		AuditFrac:      cc.AuditFrac,
 		Record: canonicalRecord{
 			MLTD:            cc.Record.MLTD,
 			Severity:        cc.Record.Severity,
@@ -186,21 +178,12 @@ func (c Config) canonicalJSON() ([]byte, error) {
 // canonicalSolver maps a solver to its hash token. Only the stock
 // solvers are representable: Explicit hashes by name alone (its Workers
 // knob is bit-identical at any value, and its counters are
-// instrumentation), while Implicit and ADI include the knobs that
-// change their numerics, with the documented defaults filled in.
+// instrumentation), while ADI includes the knobs that change its
+// numerics, with the documented defaults filled in.
 func canonicalSolver(s thermal.Solver) (string, error) {
 	switch sv := s.(type) {
 	case *thermal.Explicit:
 		return "explicit", nil
-	case *thermal.Implicit:
-		iters, tol := sv.MaxIters, sv.Tol
-		if iters <= 0 {
-			iters = 60
-		}
-		if tol <= 0 {
-			tol = 1e-5
-		}
-		return fmt.Sprintf("implicit/maxiters=%d,tol=%g", iters, tol), nil
 	case *thermal.ADI:
 		tol, maxSub := sv.ErrTol, sv.MaxSubsteps
 		if tol <= 0 {
@@ -211,6 +194,6 @@ func canonicalSolver(s thermal.Solver) (string, error) {
 		}
 		return fmt.Sprintf("adi/tol=%g,maxsub=%d", tol, maxSub), nil
 	default:
-		return "", fmt.Errorf("sim: solver %T is not hashable (only thermal.Explicit/Implicit/ADI are)", s)
+		return "", fmt.Errorf("sim: solver %T is not hashable (only thermal.Explicit and thermal.ADI are)", s)
 	}
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -90,46 +91,65 @@ func TestHashSemanticEquality(t *testing.T) {
 	}
 }
 
+// hashTweaks maps each hashed field of Config, named by its Go path
+// ("Record.Severity", "Solver.ErrTol"), to a tweak of fastConfig's base
+// that must move the content address. TestHashFieldCoverage keeps it
+// complete.
+func hashTweaks(namd workload.Profile) map[string]func(*Config) {
+	return map[string]func(*Config){
+		"Steps":                    func(c *Config) { c.Steps = 6 },
+		"Core":                     func(c *Config) { c.Core = 2 },
+		"Floorplan.Node":           func(c *Config) { c.Floorplan.Node = tech.Node14 },
+		"Floorplan.KindScale":      func(c *Config) { c.Floorplan.KindScale = map[floorplan.Kind]float64{"fpIWin": 2} },
+		"Floorplan.ICAreaFactor":   func(c *Config) { c.Floorplan.ICAreaFactor = 1.75 },
+		"Floorplan.MirrorRight":    func(c *Config) { c.Floorplan.MirrorRight = true },
+		"Floorplan.RowShuffleSeed": func(c *Config) { c.Floorplan.RowShuffleSeed = 7 },
+		"Workload":                 func(c *Config) { c.Workload = namd },
+		"SMTWorkload":              func(c *Config) { c.SMTWorkload = &namd },
+		"Warmup":                   func(c *Config) { c.Warmup = WarmupIdle },
+		"StopAtHotspot":            func(c *Config) { c.StopAtHotspot = true },
+		"Definition.TempThreshold": func(c *Config) { c.Definition = core.Definition{TempThreshold: 85, MLTDThreshold: 25, Radius: 1} },
+		"Definition.MLTDThreshold": func(c *Config) { c.Definition = core.Definition{TempThreshold: 80, MLTDThreshold: 20, Radius: 1} },
+		"Definition.Radius":        func(c *Config) { c.Definition = core.Definition{TempThreshold: 80, MLTDThreshold: 25, Radius: 0.5} },
+		"Resolution":               func(c *Config) { c.Resolution = 0.1 },
+		"Ambient":                  func(c *Config) { c.Ambient = 45 },
+		"UseCycleModel":            func(c *Config) { c.UseCycleModel = true },
+		"CyclesPerStep":            func(c *Config) { c.CyclesPerStep = 1000 },
+		"Solver":                   func(c *Config) { c.Solver = &thermal.ADI{} },
+		"Solver.ErrTol":            func(c *Config) { c.Solver = &thermal.ADI{ErrTol: 0.02} },
+		"Solver.MaxSubsteps":       func(c *Config) { c.Solver = &thermal.ADI{MaxSubsteps: 128} },
+		"Stack":                    func(c *Config) { c.Stack = thermal.LiquidCooledStack() },
+		"SinkConductance":          func(c *Config) { c.SinkConductance = 2 * thermal.SinkConductance },
+		"StackPreset":              func(c *Config) { c.StackPreset = StackCoreOnMemory },
+		"DisableLeakageFeedback":   func(c *Config) { c.DisableLeakageFeedback = true },
+		"Surrogate":                func(c *Config) { c.Surrogate = true },
+		"TriageBand":               func(c *Config) { c.Surrogate = true; c.TriageBand = 0.3 },
+		"AuditFrac":                func(c *Config) { c.Surrogate = true; c.AuditFrac = 0.5 },
+		"Record.MLTD":              func(c *Config) { c.Record.MLTD = true },
+		"Record.Severity":          func(c *Config) { c.Record.Severity = true },
+		"Record.CellDeltas":        func(c *Config) { c.Record.CellDeltas = true },
+		"Record.TempPercentiles":   func(c *Config) { c.Record.TempPercentiles = true },
+		"Record.FieldEvery":        func(c *Config) { c.Record.FieldEvery = 10 },
+		"Record.HotspotUnits":      func(c *Config) { c.Record.HotspotUnits = true },
+		"Record.UnitSeverity":      func(c *Config) { c.Record.UnitSeverity = []string{"core0.fpIWin"} },
+		"Assignments":              func(c *Config) { c.Assignments = map[int]workload.Profile{1: namd} },
+		"Floorplan.CoreArea14":     func(c *Config) { c.Floorplan.CoreArea14 = 6 },
+	}
+}
+
+// hashOperational lists the Config fields deliberately outside the
+// content address: opaque behaviour Hash rejects (Source, Controller)
+// and knobs that change how a run is executed or survives, never what
+// it computes.
+var hashOperational = []string{"Source", "Controller", "MaxWallTime", "Checkpoint", "CheckpointEvery", "Obs"}
+
 func TestHashSensitivity(t *testing.T) {
 	base := fastConfig(t, "gcc", 5)
 	baseHash := mustHash(t, base)
 	namd, _ := workload.Lookup("namd")
 
-	tweaks := map[string]func(*Config){
-		"steps":          func(c *Config) { c.Steps = 6 },
-		"core":           func(c *Config) { c.Core = 2 },
-		"node":           func(c *Config) { c.Floorplan.Node = tech.Node14 },
-		"kind-scale":     func(c *Config) { c.Floorplan.KindScale = map[floorplan.Kind]float64{"fpIWin": 2} },
-		"ic-area":        func(c *Config) { c.Floorplan.ICAreaFactor = 1.75 },
-		"mirror":         func(c *Config) { c.Floorplan.MirrorRight = true },
-		"shuffle-seed":   func(c *Config) { c.Floorplan.RowShuffleSeed = 7 },
-		"workload":       func(c *Config) { c.Workload = namd },
-		"smt":            func(c *Config) { c.SMTWorkload = &namd },
-		"warmup":         func(c *Config) { c.Warmup = WarmupIdle },
-		"stop":           func(c *Config) { c.StopAtHotspot = true },
-		"temp-threshold": func(c *Config) { c.Definition = core.Definition{TempThreshold: 85, MLTDThreshold: 25, Radius: 1} },
-		"resolution":     func(c *Config) { c.Resolution = 0.1 },
-		"ambient":        func(c *Config) { c.Ambient = 45 },
-		"cycle-model":    func(c *Config) { c.UseCycleModel = true },
-		"cycles-step":    func(c *Config) { c.CyclesPerStep = 1000 },
-		"solver":         func(c *Config) { c.Solver = &thermal.Implicit{} },
-		"solver-tol":     func(c *Config) { c.Solver = &thermal.Implicit{Tol: 1e-6} },
-		"solver-adi":     func(c *Config) { c.Solver = &thermal.ADI{} },
-		"adi-errtol":     func(c *Config) { c.Solver = &thermal.ADI{ErrTol: 0.02} },
-		"adi-maxsub":     func(c *Config) { c.Solver = &thermal.ADI{MaxSubsteps: 128} },
-		"fast-steady":    func(c *Config) { c.FastSteady = true },
-		"steady-after":   func(c *Config) { c.FastSteady = true; c.FastSteadyAfter = 10 },
-		"steady-tol":     func(c *Config) { c.FastSteady = true; c.FastSteadyTol = 0.05 },
-		"stack":          func(c *Config) { c.Stack = thermal.LiquidCooledStack() },
-		"sink":           func(c *Config) { c.SinkConductance = 2 * thermal.SinkConductance },
-		"leakage":        func(c *Config) { c.DisableLeakageFeedback = true },
-		"record-mltd":    func(c *Config) { c.Record.MLTD = true },
-		"record-frames":  func(c *Config) { c.Record.FieldEvery = 10 },
-		"unit-severity":  func(c *Config) { c.Record.UnitSeverity = []string{"core0.fpIWin"} },
-		"assignment":     func(c *Config) { c.Assignments = map[int]workload.Profile{1: namd} },
-	}
-	seen := map[string]string{"": baseHash}
-	for name, tweak := range tweaks {
+	seen := map[string]string{baseHash: "(base)"}
+	for name, tweak := range hashTweaks(namd) {
 		cfg := base
 		tweak(&cfg)
 		h := mustHash(t, cfg)
@@ -138,31 +158,58 @@ func TestHashSensitivity(t *testing.T) {
 		}
 		seen[h] = name
 	}
-	// Implicit solver defaults: zero knobs and the documented defaults
-	// are the same numerics.
-	d1, d2 := base, base
-	d1.Solver = &thermal.Implicit{}
-	d2.Solver = &thermal.Implicit{MaxIters: 60, Tol: 1e-5}
-	if mustHash(t, d1) != mustHash(t, d2) {
-		t.Error("Implicit zero-value and explicit defaults hash differently")
-	}
-	// ADI likewise: counters are instrumentation, the numeric knobs hash
-	// with their documented defaults filled in.
+	// ADI: counters are instrumentation, the numeric knobs hash with
+	// their documented defaults filled in.
 	a1, a2 := base, base
 	a1.Solver = &thermal.ADI{}
 	a2.Solver = &thermal.ADI{ErrTol: 0.1, MaxSubsteps: 64}
 	if mustHash(t, a1) != mustHash(t, a2) {
 		t.Error("ADI zero-value and explicit defaults hash differently")
 	}
-	// Steady fast-path defaults: enabling with zero knobs and with the
-	// documented defaults are the same run.
-	f1, f2 := base, base
-	f1.FastSteady = true
-	f2.FastSteady = true
-	f2.FastSteadyAfter = 5
-	f2.FastSteadyTol = 1e-3
-	if mustHash(t, f1) != mustHash(t, f2) {
-		t.Error("FastSteady zero-value and explicit defaults hash differently")
+}
+
+// TestHashFieldCoverage keeps the content address honest as Config
+// grows: every exported field of Config and RecordOptions must either
+// have a tweak in hashTweaks (so the hash provably reacts to it) or be
+// declared operational in hashOperational.
+func TestHashFieldCoverage(t *testing.T) {
+	tweaks := hashTweaks(workload.Profile{})
+	covered := func(path string) bool {
+		if _, ok := tweaks[path]; ok {
+			return true
+		}
+		for name := range tweaks {
+			if strings.HasPrefix(name, path+".") {
+				return true
+			}
+		}
+		return false
+	}
+	operational := map[string]bool{}
+	for _, name := range hashOperational {
+		operational[name] = true
+	}
+	check := func(prefix string, typ reflect.Type) {
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			if !f.IsExported() {
+				continue
+			}
+			path := prefix + f.Name
+			switch {
+			case operational[path] && covered(path):
+				t.Errorf("%s is both tweaked and declared operational", path)
+			case !operational[path] && !covered(path):
+				t.Errorf("Config field %s has no hash tweak and is not declared operational", path)
+			}
+		}
+	}
+	check("", reflect.TypeOf(Config{}))
+	check("Record.", reflect.TypeOf(RecordOptions{}))
+	for _, name := range hashOperational {
+		if _, ok := reflect.TypeOf(Config{}).FieldByName(name); !ok {
+			t.Errorf("operational field %s does not exist on Config", name)
+		}
 	}
 }
 

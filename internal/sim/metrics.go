@@ -69,27 +69,13 @@ const (
 	// MetricThermalSubsteps counts solver substeps (explicit
 	// stability-bounded substeps, or ADI substeps including abandoned
 	// ladder levels); MetricThermalStability counts steps that hit the
-	// stability bound (explicit), the iteration cap (implicit) or the
-	// subdivision cap (ADI).
+	// stability bound (explicit) or the subdivision cap (ADI).
 	MetricThermalSubsteps  = "thermal/substeps"
 	MetricThermalStability = "thermal/stability_hits"
-	// MetricThermalGSIters counts the implicit solver's inner
-	// Gauss-Seidel sweeps; MetricThermalGSResidual records the final
-	// sweep residual of its latest Step [°C].
-	MetricThermalGSIters    = "thermal/gs_iters"
-	MetricThermalGSResidual = "thermal/gs_residual"
 	// MetricThermalADISaved accumulates the explicit-equivalent substeps
 	// the ADI solver avoided (ceil(dt/dtStable) minus ADI substeps
 	// executed, per Step).
 	MetricThermalADISaved = "thermal/adi_substeps_saved"
-
-	// MetricSteadyJumps counts steady-state fast-path jumps (the run
-	// replaced a solver step with the SOR steady solution);
-	// MetricSteadySkips counts the solver steps skipped afterwards while
-	// the power map stayed constant. Both are zero unless
-	// Config.FastSteady is set.
-	MetricSteadyJumps = "sim/steady_jumps"
-	MetricSteadySkips = "sim/steady_steps_skipped"
 
 	// Surrogate triage counters, recorded by Triager (predict-first
 	// campaigns): MetricSurrogatePredictions counts configs scored,
@@ -120,7 +106,6 @@ type runMetrics struct {
 	runs, steps, hotspots, frames, detectSkips *obs.Counter
 	panics, timeouts                           *obs.Counter
 	checkpoints, ckptErrors, resumes           *obs.Counter
-	steadyJumps, steadySkips                   *obs.Counter
 
 	run, setup, perf, power, thermal      *obs.Timer
 	record, analysis, percentiles, detect *obs.Timer
@@ -140,8 +125,6 @@ func newRunMetrics(r *obs.Registry) runMetrics {
 		checkpoints: r.Counter(MetricCheckpoints),
 		ckptErrors:  r.Counter(MetricCheckpointErrors),
 		resumes:     r.Counter(MetricResumes),
-		steadyJumps: r.Counter(MetricSteadyJumps),
-		steadySkips: r.Counter(MetricSteadySkips),
 		run:         r.Timer(MetricRunTime),
 		setup:       r.Timer(MetricStageSetup),
 		perf:        r.Timer(MetricStagePerf),

@@ -217,6 +217,9 @@ func TestRunWithRetryNonRetryableFailsFast(t *testing.T) {
 	}
 }
 
+// TestRunWithRetryExplicitFallback proves a diverging explicit run is
+// retried on a fresh ADI solver, recovers, and still reports the
+// caller's original Config.
 func TestRunWithRetryExplicitFallback(t *testing.T) {
 	reg := obs.NewRegistry()
 	cfg := fastConfig(t, "gcc", 3)
@@ -224,19 +227,23 @@ func TestRunWithRetryExplicitFallback(t *testing.T) {
 	flaky := &fault.FlakySolver{Inner: &thermal.Explicit{}, NaNAt: 1}
 	cfg.Solver = flaky
 	p := RetryPolicy{
-		MaxAttempts:      2,
-		ExplicitFallback: true,
-		Sleep:            func(ctx context.Context, d time.Duration) error { return nil },
+		MaxAttempts: 2,
+		Sleep:       func(ctx context.Context, d time.Duration) error { return nil },
 	}
 	res, err := RunWithRetry(context.Background(), cfg, p)
 	if err != nil {
-		t.Fatalf("fallback to implicit solver did not recover: %v", err)
+		t.Fatalf("fallback to the ADI solver did not recover: %v", err)
 	}
 	if res.Config.Solver != thermal.Solver(flaky) {
 		t.Fatalf("Result.Config.Solver = %T, want the caller's original", res.Config.Solver)
 	}
-	if got := reg.Snapshot().Counters[MetricRetries]; got != 1 {
+	s := reg.Snapshot()
+	if got := s.Counters[MetricRetries]; got != 1 {
 		t.Fatalf("sim/retries = %d, want 1", got)
+	}
+	// Only ADI records avoided substeps: the retry ran on it.
+	if got := s.Counters[MetricThermalADISaved]; got <= 0 {
+		t.Fatalf("%s = %d, want > 0 (retry did not run on ADI)", MetricThermalADISaved, got)
 	}
 }
 

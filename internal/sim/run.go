@@ -218,22 +218,13 @@ func RunCtx(ctx context.Context, cfg Config) (res *Result, err error) {
 		}
 	}
 
-	// Steady-state fast path: the detector watches the rasterized power
-	// map for quiescence (see Config.FastSteady). Its state rides
-	// checkpoints so a resumed run arms and jumps on the same steps as
-	// an uninterrupted one.
-	var steady *steadyDetector
-	if cfg.FastSteady {
-		steady = &steadyDetector{after: cfg.FastSteadyAfter, tol: cfg.FastSteadyTol}
-	}
-
 	// Resume from the latest checkpoint, if one exists and matches: the
 	// thermal state and recorded series are restored and the sources
 	// fast-forwarded, so the loop below continues at startStep instead
 	// of t=0.
 	startStep := 0
 	if cfg.Checkpoint != nil {
-		startStep = m.resume(cfg, state, res, src, secondary, steady)
+		startStep = m.resume(cfg, state, res, src, secondary)
 	}
 
 	idle := perf.IdleActivity(perf.DefaultConfig()).Unit
@@ -320,24 +311,8 @@ func RunCtx(ctx context.Context, cfg Config) (res *Result, err error) {
 		powerSpan.End()
 
 		thermalSpan := m.thermal.Start()
-		armed := steady != nil && steady.observe(stk.steadyView())
-		switch {
-		case armed && !steady.converged:
-			// The power map has been steady long enough: jump to the SOR
-			// steady state instead of integrating the settling tail.
-			if _, err := thermal.SolveSteady(grid, state, stk.pw, 0, 0); err != nil {
-				return nil, err
-			}
-			steady.converged = true
-			m.steadyJumps.Inc()
-		case armed:
-			// Already at the steady state for this (constant) power map:
-			// the solver step is a no-op, skip it.
-			m.steadySkips.Inc()
-		default:
-			if err := cfg.Solver.Step(grid, state, stk.pw, Timestep); err != nil {
-				return nil, err
-			}
+		if err := cfg.Solver.Step(grid, state, stk.pw, Timestep); err != nil {
+			return nil, err
 		}
 		field := curField
 		if err := grid.ActiveFieldAtInto(state, stk.corePlane, field); err != nil {
@@ -488,7 +463,7 @@ func RunCtx(ctx context.Context, cfg Config) (res *Result, err error) {
 		// run: it is counted and the simulation continues.
 		if cfg.Checkpoint != nil && cfg.CheckpointEvery > 0 &&
 			(step+1)%cfg.CheckpointEvery == 0 && step+1 < cfg.Steps {
-			if err := cfg.Checkpoint.Save(snapshot(state, res, step+1, cfg.Steps, steady)); err != nil {
+			if err := cfg.Checkpoint.Save(snapshot(state, res, step+1, cfg.Steps)); err != nil {
 				m.ckptErrors.Inc()
 			} else {
 				m.checkpoints.Inc()
@@ -517,16 +492,6 @@ func instrumentSolver(s thermal.Solver, r *obs.Registry) {
 		if sv.StabilityHits == nil {
 			sv.StabilityHits = r.Counter(MetricThermalStability)
 		}
-	case *thermal.Implicit:
-		if sv.Substeps == nil {
-			sv.Substeps = r.Counter(MetricThermalGSIters)
-		}
-		if sv.StabilityHits == nil {
-			sv.StabilityHits = r.Counter(MetricThermalStability)
-		}
-		if sv.Residual == nil {
-			sv.Residual = r.Gauge(MetricThermalGSResidual)
-		}
 	case *thermal.ADI:
 		if sv.Substeps == nil {
 			sv.Substeps = r.Counter(MetricThermalSubsteps)
@@ -538,45 +503,6 @@ func instrumentSolver(s thermal.Solver, r *obs.Registry) {
 			sv.StabilityHits = r.Counter(MetricThermalStability)
 		}
 	}
-}
-
-// steadyDetector watches the per-frame power map for quiescence: after
-// `after` consecutive frames whose peak-relative change stays within
-// `tol`, the run is in the steady regime and may jump/skip (see
-// Config.FastSteady). Any larger move disarms it and clears converged,
-// returning the run to normal transient integration.
-type steadyDetector struct {
-	after     int
-	tol       float64
-	prev      []float64 // previous frame's power map (nil until frame 1)
-	frames    int       // consecutive steady frames observed
-	converged bool      // state currently holds the steady solution
-}
-
-// observe records this frame's power map and reports whether the run is
-// armed (power steady for at least `after` frames).
-func (sd *steadyDetector) observe(p []float64) bool {
-	if sd.prev == nil {
-		sd.prev = append([]float64(nil), p...)
-		return false
-	}
-	maxDelta, maxP := 0.0, 0.0
-	for i, v := range p {
-		if d := math.Abs(v - sd.prev[i]); d > maxDelta {
-			maxDelta = d
-		}
-		if a := math.Abs(v); a > maxP {
-			maxP = a
-		}
-	}
-	copy(sd.prev, p)
-	if maxDelta <= sd.tol*maxP {
-		sd.frames++
-	} else {
-		sd.frames = 0
-		sd.converged = false
-	}
-	return sd.frames >= sd.after
 }
 
 // clearCheckpoint discards a finished run's snapshot so a repeat

@@ -326,27 +326,6 @@ func TestCycleModelPathWorks(t *testing.T) {
 	}
 }
 
-func TestImplicitSolverPathWorks(t *testing.T) {
-	cfg := fastConfig(t, "gcc", 5)
-	cfg.Solver = &thermal.Implicit{MaxIters: 400, Tol: 1e-7}
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	explicit, err := Run(fastConfig(t, "gcc", 5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range res.MaxTemp {
-		// Backward vs forward Euler at a 200 µs step differ O(dt) where
-		// local transients are fast; a few °C is the expected gap (this is
-		// the solver-ablation tradeoff).
-		if math.Abs(res.MaxTemp[i]-explicit.MaxTemp[i]) > 5.0 {
-			t.Fatalf("solvers diverge at step %d: %v vs %v", i, res.MaxTemp[i], explicit.MaxTemp[i])
-		}
-	}
-}
-
 func TestCampaignMatchesIndividualRuns(t *testing.T) {
 	cfgs := []Config{fastConfig(t, "gcc", 4), fastConfig(t, "namd", 4)}
 	batch, err := Campaign(cfgs)

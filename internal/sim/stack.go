@@ -79,7 +79,7 @@ const DefaultRowHitRate = 0.6
 
 // stackRuntime is the per-run machinery of the power-injection planes:
 // one power frame per active die, the DRAM model and raster for the
-// memory die, and scratch for the steady-state detector. A single-die
+// memory die. A single-die
 // run gets a one-frame runtime whose arithmetic is bit-identical to the
 // pre-stacking code path.
 type stackRuntime struct {
@@ -90,7 +90,6 @@ type stackRuntime struct {
 	pw        *thermal.Power
 	dram      *power.DRAMModel
 	memRaster *rasterCache
-	concat    []float64 // steady-detector view over all frames
 }
 
 // newStackRuntime builds the injection planes for the run's grid. Without
@@ -158,27 +157,6 @@ func (st *stackRuntime) stepMemory(grid *thermal.Grid, state *thermal.State, acc
 	}
 	st.memRaster.inject(f, res)
 	return res.TotalPower()
-}
-
-// steadyView is the power map the steady-state detector watches: the
-// single frame's data directly on single-die runs (bit-compatible with
-// existing checkpoints), the concatenation of all planes otherwise.
-func (st *stackRuntime) steadyView() []float64 {
-	if len(st.frames) == 1 {
-		return st.frames[0].Data
-	}
-	n := 0
-	for _, f := range st.frames {
-		n += len(f.Data)
-	}
-	if cap(st.concat) < n {
-		st.concat = make([]float64, n)
-	}
-	st.concat = st.concat[:0]
-	for _, f := range st.frames {
-		st.concat = append(st.concat, f.Data...)
-	}
-	return st.concat
 }
 
 // dieLabels names the active planes bottom-up, for per-die reporting.

@@ -26,11 +26,11 @@ var featureNames = []string{
 	"sink_conductance_w_per_k", "stack_layers",
 	// Run shape.
 	"steps", "steps_log2", "core_index", "warmup_idle", "stop_at_hotspot",
-	"use_cycle_model", "leakage_off", "fast_steady",
+	"use_cycle_model", "leakage_off",
 	// Hotspot definition.
 	"temp_threshold_c", "mltd_threshold_c", "mltd_radius_mm",
 	// Solver one-hot (explicit is the all-zero baseline).
-	"solver_implicit", "solver_adi",
+	"solver_adi",
 	// Workload profile and phase schedule.
 	"wl_intensity_nominal", "wl_intensity_mean", "wl_intensity_peak",
 	"wl_intensity_min", "wl_phase_period", "wl_peak_step_frac",
@@ -149,21 +149,13 @@ func Features(cfg sim.Config) ([]float64, error) {
 	f.add("stop_at_hotspot", boolF(c.StopAtHotspot))
 	f.add("use_cycle_model", boolF(c.UseCycleModel))
 	f.add("leakage_off", boolF(c.DisableLeakageFeedback))
-	f.add("fast_steady", boolF(c.FastSteady))
 
 	f.add("temp_threshold_c", c.Definition.TempThreshold)
 	f.add("mltd_threshold_c", c.Definition.MLTDThreshold)
 	f.add("mltd_radius_mm", c.Definition.Radius)
 
-	implicit, adi := 0.0, 0.0
-	switch c.Solver.(type) {
-	case *thermal.Implicit:
-		implicit = 1
-	case *thermal.ADI:
-		adi = 1
-	}
-	f.add("solver_implicit", implicit)
-	f.add("solver_adi", adi)
+	_, adi := c.Solver.(*thermal.ADI)
+	f.add("solver_adi", boolF(adi))
 
 	prof := c.Workload
 	period := prof.PhasePeriod()

@@ -6,14 +6,15 @@
 // copper heat spreader, thermal grease, and a fan-cooled heatsink with a
 // convective boundary to ambient.
 //
-// Three solvers are provided: an explicit forward-Euler transient solver
-// with an automatically derived stability substep (the default), an
-// implicit backward-Euler solver for large timesteps, and a steady-state
-// SOR solver used for Ψ/TDP computation (Table IV) and idle-warmup
-// initialization.
+// Two transient solvers are provided: an explicit forward-Euler solver
+// with an automatically derived stability substep (the default and the
+// reference), and ADI, an unconditionally stable alternating-direction-
+// implicit solver with adaptive substepping (the campaign fast solver and
+// the divergence fallback). A steady-state SOR solver, SolveSteady, serves
+// Ψ/TDP computation (Table IV) and idle-warmup initialization.
 //
 // Both transient solvers optionally report their work into internal/obs
 // counters (Substeps, StabilityHits): the explicit solver counts its
-// stability-bounded substeps, the implicit one its inner Gauss-Seidel
-// sweeps and iteration-cap hits.
+// stability-bounded substeps, ADI its Douglas–Gunn substeps (and, in
+// Saved, the substeps its adaptive control avoided).
 package thermal
