@@ -274,15 +274,10 @@ func runTriaged(o options, cfg sim.Config) error {
 	cfg.Surrogate = true
 	cfg.TriageBand = o.triageBand
 	cfg.AuditFrac = o.auditFrac
-	results, err := sim.CampaignOpts([]sim.Config{cfg}, sim.CampaignOptions{
-		Workers: 1,
-		Obs:     cfg.Obs,
-		Triage:  &sim.TriageOptions{Predictor: model},
-	})
+	res, err := triage(cfg, model)
 	if err != nil {
 		return err
 	}
-	res := results[0]
 	if res.Predicted {
 		printPredictedSummary(cfg, res)
 	} else {
@@ -313,6 +308,24 @@ func runTriaged(o options, cfg sim.Config) error {
 		fmt.Printf("\nmetrics written to %s\n", o.metricsJSON)
 	}
 	return nil
+}
+
+// triage resolves one run predict-first through a sim.Triager, the way
+// the daemon does: a confidently cold prediction resolves predicted-only
+// without simulating, and any other run simulates exactly with the
+// prediction attached (and scored, when the audit draw selected it).
+func triage(cfg sim.Config, pred sim.Predictor) (*sim.Result, error) {
+	t := sim.NewTriager(sim.TriageOptions{Predictor: pred}, cfg.Obs)
+	d := t.Score(cfg)
+	if !d.ExactRun {
+		return t.PredictedResult(cfg, d), nil
+	}
+	res, err := sim.Run(cfg)
+	if err != nil {
+		return nil, err
+	}
+	t.ObserveExact(d, res)
+	return res, nil
 }
 
 // printPredictedSummary reports a predicted-only resolution: the model's

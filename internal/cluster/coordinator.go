@@ -94,10 +94,12 @@ type CoordinatorOptions struct {
 	// dynamically assigned addresses.
 	OnJoin func(name, addr string)
 	// LocalExec, when non-nil, executes runs on the coordinator itself
-	// whenever no worker is alive, so a cluster-mode job degrades to
+	// whenever no worker is alive: a standalone daemon (a cluster of
+	// zero) runs every job this way, and a cluster-mode job degrades to
 	// single-node execution instead of stalling.
 	LocalExec Executor
-	// LocalWorkers bounds concurrent LocalExec runs (0 = GOMAXPROCS).
+	// LocalWorkers bounds concurrent LocalExec runs across every Execute
+	// call (0 = GOMAXPROCS). Runs start in submission order.
 	LocalWorkers int
 }
 
@@ -148,7 +150,8 @@ type Coordinator struct {
 	stopOnce sync.Once
 	loopDone chan struct{}
 	wg       sync.WaitGroup // batch pushes + local executions
-	localSem chan struct{}
+	// localRunning counts LocalExec runs in flight (guarded by mu).
+	localRunning int
 
 	gWorkers, gPending, gLeased                *obs.Gauge
 	mJoins, mWorkersLost                       *obs.Counter
@@ -207,7 +210,6 @@ func NewCoordinator(opts CoordinatorOptions) *Coordinator {
 		kick:              make(chan struct{}, 1),
 		stop:              make(chan struct{}),
 		loopDone:          make(chan struct{}),
-		localSem:          make(chan struct{}, opts.LocalWorkers),
 		gWorkers:          reg.Gauge(MetricWorkers),
 		gPending:          reg.Gauge(MetricPendingRuns),
 		gLeased:           reg.Gauge(MetricLeasedRuns),
@@ -629,7 +631,10 @@ func (c *Coordinator) tripLocked(w *remoteWorker) {
 }
 
 // localFallbackLocked runs queued work on the coordinator itself when
-// no worker is alive and a local executor is configured.
+// no worker is alive and a local executor is configured. Parked runs
+// start in submission order while fewer than LocalWorkers are in
+// flight; the rest stay parked (a worker joining meanwhile takes them),
+// and each finishing run kicks the loop to admit the next.
 func (c *Coordinator) localFallbackLocked() []resolution {
 	if c.opts.LocalExec == nil || c.aliveLocked() > 0 {
 		return nil
@@ -637,9 +642,13 @@ func (c *Coordinator) localFallbackLocked() []resolution {
 	var resolutions []resolution
 	parked := c.unassigned
 	c.unassigned = nil
-	for _, t := range parked {
+	for k, t := range parked {
 		if t.resolved || t.worker != "" {
 			continue
+		}
+		if c.localRunning >= c.opts.LocalWorkers {
+			c.unassigned = append(c.unassigned, parked[k:]...)
+			break
 		}
 		t.attempts++
 		if t.attempts > maxAssigns {
@@ -651,6 +660,7 @@ func (c *Coordinator) localFallbackLocked() []resolution {
 			continue
 		}
 		t.worker = "(local)"
+		c.localRunning++
 		c.mLocalRuns.Inc()
 		c.wg.Add(1)
 		go c.runLocal(t)
@@ -659,22 +669,23 @@ func (c *Coordinator) localFallbackLocked() []resolution {
 }
 
 // runLocal executes one fallback run through the local executor and
-// resolves it like a worker result would.
+// resolves it like a worker result would. A run whose context ended
+// before it started resolves with the context cause, unexecuted.
 func (c *Coordinator) runLocal(t *task) {
 	defer c.wg.Done()
-	c.localSem <- struct{}{}
-	defer func() { <-c.localSem }()
-	if t.ctx.Err() != nil {
-		return // abandon() resolves it with the context cause
+	var payload []byte
+	err := context.Cause(t.ctx)
+	if err == nil {
+		payload, err = c.opts.LocalExec(t.ctx, t.run)
 	}
-	payload, err := c.opts.LocalExec(t.ctx, t.run)
 	c.mu.Lock()
+	c.localRunning--
 	ok := c.resolveLocked(t)
 	c.mu.Unlock()
+	c.kickDispatch() // admit the next parked run while this one is gathered
 	if ok {
 		t.done(payload, err)
 	}
-	c.kickDispatch()
 }
 
 // resolveLocked marks a task resolved exactly once, releasing its lease

@@ -277,6 +277,47 @@ func TestCoordinatorLocalFallback(t *testing.T) {
 	}
 }
 
+// TestLocalFallbackFIFOBounded: with no workers and LocalWorkers=1, the
+// local executor sees runs one at a time, in submission order — parked
+// runs are admitted as slots free up, not raced for by one goroutine per
+// run.
+func TestLocalFallbackFIFOBounded(t *testing.T) {
+	var mu sync.Mutex
+	var order []int
+	running, peak := 0, 0
+	c := NewCoordinator(CoordinatorOptions{
+		LeaseTTL:     100 * time.Millisecond,
+		LocalWorkers: 1,
+		LocalExec: func(ctx context.Context, run sim.RemoteRun) ([]byte, error) {
+			mu.Lock()
+			running++
+			peak = max(peak, running)
+			order = append(order, run.Index)
+			mu.Unlock()
+			time.Sleep(2 * time.Millisecond) // widen any overlap
+			mu.Lock()
+			running--
+			mu.Unlock()
+			return []byte(`"ok"`), nil
+		},
+	})
+	defer c.Close()
+
+	runs := makeRuns("job-fifo", 8)
+	payloads, errs, err := gather(t, c, context.Background(), runs)
+	if err != nil || len(errs) != 0 || len(payloads) != len(runs) {
+		t.Fatalf("Execute err=%v, run errors=%v, %d of %d resolved", err, errs, len(payloads), len(runs))
+	}
+	if peak != 1 {
+		t.Errorf("peak concurrent LocalExec calls = %d, want 1", peak)
+	}
+	for k, idx := range order {
+		if idx != k {
+			t.Fatalf("LocalExec order = %v, want submission order", order)
+		}
+	}
+}
+
 // TestCoordinatorDuplicateResultDropped posts a stale result for an
 // already-resolved run: it must be acknowledged but not accepted.
 func TestCoordinatorDuplicateResultDropped(t *testing.T) {

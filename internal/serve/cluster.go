@@ -15,20 +15,21 @@ import (
 )
 
 // newCoordinator builds the server's cluster coordinator. Every daemon
-// gets one — a daemon with no registered workers is simply a cluster of
-// zero, its jobs running on the ordinary local campaign path — so
-// turning a single node into a coordinator is nothing more than
-// pointing workers at it. With a chaos profile configured, batch pushes
-// ride the fault-injecting transport, and every joining worker's name
-// and address are taught to it so partition schedules written against
-// worker names resolve their dynamically assigned ports.
+// gets one, and every job's cache misses run through it: a daemon with
+// no live workers is a cluster of zero, its runs executing through the
+// coordinator's local executor (executeRun), so turning a single node
+// into a coordinator is nothing more than pointing workers at it. With
+// a chaos profile configured, batch pushes ride the fault-injecting
+// transport, and every joining worker's name and address are taught to
+// it so partition schedules written against worker names resolve their
+// dynamically assigned ports.
 func (s *Server) newCoordinator() *cluster.Coordinator {
 	opts := cluster.CoordinatorOptions{
 		LeaseTTL:     s.opts.ClusterLeaseTTL,
 		Batch:        s.opts.ClusterBatch,
 		Registry:     s.reg,
 		OnLease:      s.journalLease,
-		LocalExec:    s.executeRemoteRun,
+		LocalExec:    s.executeRun,
 		LocalWorkers: s.opts.RunWorkers,
 		RetrySeed:    s.opts.ChaosSeed,
 	}
@@ -80,7 +81,7 @@ func (s *Server) JoinCluster(coordinatorURL, name, selfURL string) error {
 		Name:        name,
 		Coordinator: coordinatorURL,
 		SelfURL:     selfURL,
-		Exec:        s.executeRemoteRun,
+		Exec:        s.executeWorkerRun,
 		Registry:    s.reg,
 		Concurrency: s.opts.RunWorkers,
 		RetrySeed:   s.opts.ChaosSeed,
@@ -137,15 +138,16 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	cw.HandleBatch(w, r)
 }
 
-// executeRemoteRun is the daemon's single-run executor, shared by its
-// worker half (runs pushed by a coordinator) and its coordinator half
-// (the no-workers-alive local fallback). It is the campaign path in
-// miniature: content-addressed cache lookup first, then a fully wrapped
-// simulation — checkpointer, fault injection, per-run timeout, retry
-// with explicit fallback — and the payload is cached and persisted
-// before it is returned, so the run's bytes are durable before the
-// coordinator resolves it.
-func (s *Server) executeRemoteRun(ctx context.Context, run sim.RemoteRun) ([]byte, error) {
+// executeRun is the daemon's only simulate path: the coordinator's
+// local executor, and the core of the worker half's executor. It
+// re-materializes the run from its wire spec, checks the content
+// address, answers from the cache or result store when it can, and
+// otherwise runs the fully wrapped simulation — checkpointer, fault
+// injection, per-run timeout, retry (a diverging run retries on ADI) —
+// returning the marshaled payload. Storing the payload and counting a
+// per-run timeout are left to the caller: the coordinator's gather on
+// its own node, executeWorkerRun on a worker.
+func (s *Server) executeRun(ctx context.Context, run sim.RemoteRun) ([]byte, error) {
 	var spec ConfigSpec
 	if err := json.Unmarshal(run.Spec, &spec); err != nil {
 		return nil, fmt.Errorf("serve: undecodable run spec: %w", err)
@@ -173,45 +175,52 @@ func (s *Server) executeRemoteRun(ctx context.Context, run sim.RemoteRun) ([]byt
 	if s.wrapCfg != nil {
 		cfg = s.wrapCfg(run.Index, cfg)
 	}
-
-	var payload []byte
-	var runErr error
-	_, _ = sim.CampaignCtx(ctx, []sim.Config{cfg}, sim.CampaignOptions{
-		Workers:    1,
-		Obs:        s.reg,
-		RunTimeout: s.opts.RunTimeout,
-		Retry:      sim.RetryPolicy{MaxAttempts: s.opts.Retries + 1},
-		OnResult: func(_ int, r *sim.Result, err error) {
-			if err != nil {
-				runErr = err
-				return
-			}
-			payload, runErr = json.Marshal(newRunView(spec, h, r))
-		},
-	})
-	if runErr != nil {
-		var rte *sim.RunTimeoutError
-		if errors.As(runErr, &rte) {
-			s.mTimeouts.Inc()
-		}
-		return nil, runErr
+	cfg.Obs = s.reg
+	if cfg.MaxWallTime <= 0 {
+		cfg.MaxWallTime = s.opts.RunTimeout
 	}
-	s.cache.Put(h, payload)
-	s.persistResult(h, payload)
+	res, err := sim.RunWithRetry(ctx, cfg, sim.RetryPolicy{MaxAttempts: s.opts.Retries + 1})
+	if err != nil {
+		return nil, err
+	}
+	payload, err := json.Marshal(newRunView(spec, h, res))
+	if err != nil {
+		return nil, err
+	}
 	s.mExecuted.Inc()
 	return payload, nil
 }
 
-// runJobRemote fans a job's cache-missing runs out across the cluster
-// and gathers their results into the job exactly as the local campaign
-// path would: payloads persist to the content-addressed store, run
-// records journal after their bytes are durable, and per-run failures
-// land on their run alone. Runs cut short by cancellation or the job
-// deadline are "skipped" (they said nothing about their config), and a
-// worker-side per-run timeout counts in serve/timeouts here too.
-// decisions carries the triage decisions of the runs that reached exact
-// execution; audit-selected results are scored coordinator-side from
-// their gathered payloads (workers need not hold the model).
+// executeWorkerRun is the worker half's executor: executeRun, then the
+// worker's own bookkeeping — a per-run timeout counts in serve/timeouts
+// here, and the payload is cached and persisted before it is returned,
+// so the run's bytes are durable on this node before the coordinator
+// resolves it.
+func (s *Server) executeWorkerRun(ctx context.Context, run sim.RemoteRun) ([]byte, error) {
+	payload, err := s.executeRun(ctx, run)
+	if err != nil {
+		var rte *sim.RunTimeoutError
+		if errors.As(err, &rte) {
+			s.mTimeouts.Inc()
+		}
+		return nil, err
+	}
+	s.cache.Put(run.Hash, payload)
+	s.persistResult(run.Hash, payload)
+	return payload, nil
+}
+
+// runJobRemote executes a job's cache-missing runs through the
+// coordinator — fanned out across live workers, or on this node's local
+// executor when there are none — and gathers their results into the
+// job: payloads are cached and persisted to this node's content-addressed
+// store, run records journal after their bytes are durable, and per-run
+// failures land on their run alone. Runs cut short by cancellation or
+// the job deadline are "skipped" (they said nothing about their config);
+// a per-run timeout, local or reported by a worker, counts once in this
+// node's serve/timeouts. decisions carries the triage decisions of the
+// runs that reached exact execution; audit-selected results are scored
+// here from their payloads (workers need not hold the model).
 func (s *Server) runJobRemote(ctx context.Context, j *Job, missIdx []int, decisions map[int]sim.TriageDecision) {
 	runs := make([]sim.RemoteRun, len(missIdx))
 	for k, i := range missIdx {
@@ -223,18 +232,15 @@ func (s *Server) runJobRemote(ctx context.Context, j *Job, missIdx []int, decisi
 	_ = s.coord.Execute(ctx, runs, func(k int, payload []byte, err error) {
 		i := missIdx[k]
 		if err != nil {
-			skipped := errors.Is(err, context.Canceled) ||
-				errors.Is(err, context.DeadlineExceeded) ||
-				errors.Is(err, errJobTimeout)
-			var rre *sim.RemoteRunError
-			if errors.As(err, &rre) && rre.TimedOut {
-				s.mTimeouts.Inc()
-			}
 			var rte *sim.RunTimeoutError
-			if errors.As(err, &rte) {
+			var rre *sim.RemoteRunError
+			timedOut := errors.As(err, &rte) || (errors.As(err, &rre) && rre.TimedOut)
+			if timedOut {
 				s.mTimeouts.Inc()
-				skipped = false
 			}
+			skipped := !timedOut && (errors.Is(err, context.Canceled) ||
+				errors.Is(err, context.DeadlineExceeded) ||
+				errors.Is(err, errJobTimeout))
 			j.setRunFailed(i, err, skipped)
 			if !skipped {
 				s.journalRec(journalRecord{Type: recRun, Job: j.ID, Run: i,
@@ -250,9 +256,11 @@ func (s *Server) runJobRemote(ctx context.Context, j *Job, missIdx []int, decisi
 				j.addAudit(absErr)
 			}
 		}
-		// The worker (or fallback executor) already persisted the payload
-		// under its own store; persist under ours too — the coordinator's
-		// store is the one result queries hit.
+		// A remote worker already persisted the payload under its own
+		// store; persist under ours too — this node's store is the one
+		// result queries hit. Write ordering matters: the payload is
+		// durably stored before the journal claims the run is done, so
+		// replay can never promise bytes it lost.
 		s.cache.Put(j.hashes[i], payload)
 		s.persistResult(j.hashes[i], payload)
 		j.setRunDone(i, payload)

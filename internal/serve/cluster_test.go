@@ -6,11 +6,13 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"sync"
 	"testing"
 	"time"
 
 	"hotgauge/internal/cluster"
 	"hotgauge/internal/fault"
+	"hotgauge/internal/obs"
 	"hotgauge/internal/sim"
 	"hotgauge/internal/thermal"
 )
@@ -159,6 +161,47 @@ func TestClusterFanoutAndDedup(t *testing.T) {
 		want := fetchRun(t, controlTS, control.ID, i)
 		if string(got) != string(want) {
 			t.Fatalf("run %d: deduplicated bytes differ from control", i)
+		}
+	}
+}
+
+// TestStandaloneRunsThroughCoordinator: a standalone durable daemon is a
+// coordinator with zero workers, so every cache miss executes through
+// its local executor — cluster/local_runs and serve/runs_executed agree
+// run for run, nothing is dispatched, and each payload is written to the
+// result store exactly once.
+func TestStandaloneRunsThroughCoordinator(t *testing.T) {
+	specs := clusterSpecs(5)
+	reg := obs.NewRegistry()
+	s, ts := newTestServer(t, Options{DataDir: t.TempDir(), Registry: reg, RunWorkers: 2})
+	var mu sync.Mutex
+	persisted := map[string]int{}
+	s.onPersist = func(hash string) {
+		mu.Lock()
+		persisted[hash]++
+		mu.Unlock()
+	}
+
+	sub := submit(t, ts, specs...)
+	waitState(t, ts, sub.ID, JobDone)
+
+	snap := reg.Snapshot()
+	for _, m := range []string{cluster.MetricLocalRuns, MetricRunsExecuted} {
+		if got := int(snap.Counters[m]); got != len(specs) {
+			t.Errorf("%s = %d, want %d", m, got, len(specs))
+		}
+	}
+	if got := snap.Counters[cluster.MetricRunsDispatched]; got != 0 {
+		t.Errorf("runs_dispatched = %d on a standalone daemon, want 0", got)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(persisted) != len(specs) {
+		t.Errorf("%d distinct payloads persisted, want %d", len(persisted), len(specs))
+	}
+	for _, h := range sub.Hashes {
+		if persisted[h] != 1 {
+			t.Errorf("payload %s persisted %d times, want once", h, persisted[h])
 		}
 	}
 }

@@ -261,6 +261,9 @@ func (s *Server) persistResult(hash string, data []byte) {
 	if s.st == nil {
 		return
 	}
+	if s.onPersist != nil {
+		s.onPersist(hash)
+	}
 	if err := s.st.Results.Put(hash, data); err != nil {
 		s.mStoreErrors.Inc()
 	}

@@ -30,9 +30,11 @@ type Options struct {
 	// in-memory backlog.
 	QueueSize int
 	// Workers is the number of jobs executed concurrently (default 1:
-	// one campaign at a time, each spreading its runs across cores).
+	// one campaign at a time, its runs spread across cores).
 	Workers int
-	// RunWorkers caps the per-job sim worker pool (0 = GOMAXPROCS).
+	// RunWorkers caps the simulations this daemon runs at once, across
+	// all jobs (0 = GOMAXPROCS): the coordinator's local executor and,
+	// once joined to a cluster, the worker half each get this many.
 	RunWorkers int
 	// CacheBytes is the result cache's payload budget (default 64 MiB).
 	CacheBytes int64
@@ -163,10 +165,10 @@ type Server struct {
 	st        *store.Store
 	storeOnce sync.Once
 
-	// coord is this daemon's cluster coordinator — always present; with
-	// no registered workers it is a cluster of zero and jobs run on the
-	// local campaign path. cworker is the worker half, set by
-	// JoinCluster (guarded by mu).
+	// coord is this daemon's cluster coordinator — always present, and
+	// every job's misses run through it; with no live workers it is a
+	// cluster of zero and runs execute on its local executor. cworker is
+	// the worker half, set by JoinCluster (guarded by mu).
 	coord   *cluster.Coordinator
 	cworker *cluster.Worker
 	// chaosT is the fault-injecting transport every cluster RPC rides
@@ -202,6 +204,10 @@ type Server struct {
 	// deterministic per-run faults (production injection goes through
 	// Options.FaultRate instead). i is the run's index within the job.
 	wrapCfg func(i int, cfg sim.Config) sim.Config
+	// onPersist, when non-nil, observes every payload written to the
+	// durable result store — the test seam that proves each run is
+	// persisted once per node.
+	onPersist func(hash string)
 }
 
 // New creates a Server and starts its worker pool. With Options.DataDir
@@ -448,13 +454,14 @@ func (s *Server) worker() {
 // JobCancelled.
 var errJobTimeout = errors.New("serve: job exceeded its deadline")
 
-// runJob executes one job: a cache pass first, then a CampaignCtx over
-// the misses with per-run results streamed into the job (and the cache)
-// as they complete. Faults stay contained: a run that panics, diverges,
-// retries out, or trips its per-run deadline fails alone (sim.RunCtx
-// converts panics into per-run *PanicErrors), and the job-level
-// deadline cuts the whole campaign at the next step boundary — the
-// worker, and the daemon behind it, keep serving either way.
+// runJob executes one job: a cache pass first, then triage, then the
+// misses through the coordinator (runJobRemote), with per-run results
+// streamed into the job (and the cache) as they complete. Faults stay
+// contained: a run that panics, diverges, retries out, or trips its
+// per-run deadline fails alone (sim.RunCtx converts panics into per-run
+// *PanicErrors), and the job-level deadline cuts the whole job at the
+// next step boundary — the worker, and the daemon behind it, keep
+// serving either way.
 func (s *Server) runJob(j *Job) {
 	if j.ctx.Err() != nil || j.State().terminal() {
 		s.finishJob(j, JobCancelled, "cancelled while queued", s.mCancelled)
@@ -530,83 +537,13 @@ func (s *Server) runJob(j *Job) {
 		missIdx = kept
 	}
 
-	// With live cluster workers the misses fan out across the cluster;
-	// otherwise (single node, or every worker died before pickup) they
-	// run on the local campaign path. A worker dying mid-fan-out does
-	// not fall back here — the coordinator reassigns its runs, and runs
-	// stranded with no survivors execute through its local executor.
-	if len(missIdx) > 0 && s.coord.AliveWorkers() > 0 {
+	// Every miss runs through the coordinator: across live cluster
+	// workers, or — with none, as on a standalone daemon — on this
+	// node's local executor. A worker dying mid-fan-out is handled there
+	// too: the coordinator reassigns its runs, and runs stranded with no
+	// survivors execute locally.
+	if len(missIdx) > 0 {
 		s.runJobRemote(ctx, j, missIdx, decisions)
-	} else if len(missIdx) > 0 {
-		cfgs := make([]sim.Config, len(missIdx))
-		for k, i := range missIdx {
-			cfgs[k] = j.cfgs[i]
-			s.checkpointerFor(&cfgs[k], j.hashes[i])
-			if s.opts.FaultRate > 0 {
-				cfgs[k].Solver = s.flakySolver(cfgs[k].Solver, int64(i))
-			}
-			if s.wrapCfg != nil {
-				cfgs[k] = s.wrapCfg(i, cfgs[k])
-			}
-		}
-		// Per-run errors and results are captured via OnResult, so the
-		// joined campaign error is redundant here.
-		_, _ = sim.CampaignCtx(ctx, cfgs, sim.CampaignOptions{
-			Workers:    s.opts.RunWorkers,
-			Obs:        s.reg,
-			RunTimeout: s.opts.RunTimeout,
-			Retry:      sim.RetryPolicy{MaxAttempts: s.opts.Retries + 1},
-			OnResult: func(k int, r *sim.Result, runErr error) {
-				i := missIdx[k]
-				switch {
-				case runErr != nil:
-					// Runs cut by a campaign-wide cancellation (client
-					// cancel, drain, job deadline) are "skipped" — they
-					// said nothing about their config. A per-run
-					// deadline is that run's own failure and counts as
-					// a serving-layer timeout.
-					skipped := errors.Is(runErr, context.Canceled) ||
-						errors.Is(runErr, context.DeadlineExceeded) ||
-						errors.Is(runErr, errJobTimeout)
-					var rte *sim.RunTimeoutError
-					if errors.As(runErr, &rte) {
-						s.mTimeouts.Inc()
-						skipped = false
-					}
-					j.setRunFailed(i, runErr, skipped)
-					if !skipped {
-						// Skipped runs said nothing about their config
-						// and are journaled only via the job's finished
-						// record; genuine failures are worth a record.
-						s.journalRec(journalRecord{Type: recRun, Job: j.ID, Run: i,
-							State: RunFailed, Error: runErr.Error()})
-					}
-				default:
-					// Annotating the result with its prediction does not
-					// change the payload: newRunView emits predicted_*
-					// fields only for predicted-only results, so exact
-					// bytes stay identical with or without triage.
-					if d, ok := decisions[i]; ok {
-						if absErr, scored := s.triager.ObserveExact(d, r); scored {
-							j.addAudit(absErr)
-						}
-					}
-					data, merr := json.Marshal(newRunView(j.Specs[i], j.hashes[i], r))
-					if merr != nil {
-						j.setRunFailed(i, merr, false)
-						return
-					}
-					s.cache.Put(j.hashes[i], data)
-					// Write ordering matters: the payload is durably
-					// stored before the journal claims the run is done,
-					// so replay can never promise bytes it lost.
-					s.persistResult(j.hashes[i], data)
-					s.mExecuted.Inc()
-					j.setRunDone(i, data)
-					s.journalRec(journalRecord{Type: recRun, Job: j.ID, Run: i, State: RunDone})
-				}
-			},
-		})
 	}
 
 	switch {

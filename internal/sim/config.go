@@ -113,12 +113,12 @@ type Config struct {
 	// (the leakage ablation).
 	DisableLeakageFeedback bool
 
-	// Surrogate opts this run into predict-first triage when it executes
-	// inside a campaign with CampaignOptions.Triage set: the surrogate
-	// model scores the config first, and the full pipeline runs only when
-	// the predicted severity lands within TriageBand of the hotspot
-	// threshold, the prediction's confidence is low, or the run is
-	// audit-selected — otherwise the campaign records a predicted-only
+	// Surrogate opts this run into predict-first triage when its caller
+	// holds a Triager (hotgauged -surrogate, hotgauge -surrogate): the
+	// surrogate model scores the config first, and the full pipeline runs
+	// only when the predicted severity lands within TriageBand of the
+	// hotspot threshold, the prediction's confidence is low, or the run
+	// is audit-selected — otherwise the caller records a predicted-only
 	// Result. Part of Config.Hash (a predicted-only result must never be
 	// cached under an exact run's address); RunCtx itself ignores it, so
 	// an exact-verified triaged run is bit-identical to an untriaged one.

@@ -52,8 +52,7 @@ type Predictor interface {
 	Predict(cfg Config) (Prediction, error)
 }
 
-// TriageOptions configures predict-first campaign triage (see
-// CampaignOptions.Triage).
+// TriageOptions configures predict-first triage (see Triager).
 type TriageOptions struct {
 	// Predictor scores configs; nil disables triage entirely.
 	Predictor Predictor

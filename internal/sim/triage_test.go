@@ -152,64 +152,6 @@ func TestObserveExactAuditError(t *testing.T) {
 	}
 }
 
-func TestCampaignTriageSkipsAndCounts(t *testing.T) {
-	pred := &fakePredictor{byAmbient: map[float64]Prediction{
-		41: {Severity: 0.05, TUHSeconds: -1, Confidence: 0.95},    // skip
-		42: {Severity: 0.05, TUHSeconds: -1, Confidence: 0.95},    // skip
-		43: {Severity: 0.95, TUHSeconds: 0.001, Confidence: 0.95}, // frontier → exact
-	}}
-	var cfgs []Config
-	for _, amb := range []float64{41, 42, 43} {
-		cfg := fastConfig(t, "gcc", 4)
-		cfg.Ambient = amb
-		cfg.Surrogate = true
-		cfg.AuditFrac = -1 // disable audits for a deterministic split
-		cfgs = append(cfgs, cfg)
-	}
-	// A non-surrogate config must always execute exactly.
-	plain := fastConfig(t, "gcc", 4)
-	plain.Ambient = 41
-	cfgs = append(cfgs, plain)
-
-	reg := obs.NewRegistry()
-	var last Progress
-	results, err := CampaignOpts(cfgs, CampaignOptions{
-		Workers:    2,
-		Obs:        reg,
-		Triage:     &TriageOptions{Predictor: pred},
-		OnProgress: func(p Progress) { last = p },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, want := range []bool{true, true, false, false} {
-		if results[i] == nil || results[i].Predicted != want {
-			t.Errorf("run %d: Predicted = %v, want %v", i, results[i] != nil && results[i].Predicted, want)
-		}
-	}
-	if results[2].StepsRun != 4 || results[3].StepsRun != 4 {
-		t.Fatalf("exact runs did not execute: %d, %d steps", results[2].StepsRun, results[3].StepsRun)
-	}
-	if results[2].Prediction == nil {
-		t.Error("exact surrogate run lost its prediction annotation")
-	}
-	if results[3].Prediction != nil {
-		t.Error("non-surrogate run gained a prediction")
-	}
-	if last.Completed != 4 || last.Predicted != 2 || last.Failed != 0 {
-		t.Fatalf("final progress = %+v", last)
-	}
-	if got := reg.Snapshot().Counters[MetricSurrogateSkippedRuns]; got != 2 {
-		t.Errorf("surrogate/skipped_runs = %d, want 2", got)
-	}
-	if got := reg.Snapshot().Counters[MetricSurrogateExactRuns]; got != 1 {
-		t.Errorf("surrogate/exact_runs = %d, want 1 (plain config is not triaged)", got)
-	}
-	if got := reg.Snapshot().Counters["campaign/predicted"]; got != 2 {
-		t.Errorf("campaign/predicted = %d, want 2", got)
-	}
-}
-
 func TestHashUnchangedByInertTriageKnobs(t *testing.T) {
 	base := fastConfig(t, "gcc", 5)
 	h1, err := base.Hash()
