@@ -5,7 +5,7 @@ GO ?= go
 BENCH_COUNT ?= 10
 BENCH_PATTERN ?= BenchmarkKernelThermalStep|BenchmarkKernelADIStep|BenchmarkKernelMLTDField|BenchmarkKernelAnalyzeFrame|BenchmarkKernelPercentiles|BenchmarkSec4ATempScaling|BenchmarkStackedRun
 
-.PHONY: all build test vet fmt-check check faultcheck stackcheck crashcheck clustercheck chaoscheck fuzzsmoke triagecheck bench bench-check bench-all serve-smoke
+.PHONY: all build test vet fmt-check perfbench-check check faultcheck stackcheck crashcheck clustercheck chaoscheck fuzzsmoke triagecheck bench bench-check bench-all serve-smoke
 
 all: check
 
@@ -24,9 +24,15 @@ fmt-check:
 		echo "files need gofmt:" >&2; echo "$$out" >&2; exit 1; \
 	fi
 
+# The benchmark is a nested module the root `./...` patterns skip, so it
+# is vetted and tested on its own: a serve or sim API change that breaks
+# it fails here rather than on the next benchmark run.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
 # The full CI gate: build, tests (incl. the internal-package docs lint),
-# vet, and gofmt cleanliness.
-check: build test vet fmt-check
+# vet, gofmt cleanliness, and the nested benchmark module.
+check: build test vet fmt-check perfbench-check
 
 # The fault-tolerance suite under the race detector, run twice: panic
 # isolation, per-run deadlines, retry/backoff and the end-to-end faulty

@@ -30,8 +30,6 @@ import (
 	"hotgauge/internal/sim"
 	"hotgauge/internal/store"
 	"hotgauge/internal/surrogate"
-	"hotgauge/internal/tech"
-	"hotgauge/internal/thermal"
 	"hotgauge/internal/trace"
 	"hotgauge/internal/workload"
 )
@@ -110,7 +108,7 @@ func main() {
 		return
 	}
 	if *showPlan {
-		if err := printFloorplan(o.node, o.scaleUnit, o.icArea); err != nil {
+		if err := printFloorplan(o); err != nil {
 			fmt.Fprintln(os.Stderr, "hotgauge:", err)
 			os.Exit(1)
 		}
@@ -157,42 +155,37 @@ func fitSurrogate(o options) error {
 	return nil
 }
 
+// config materializes the run the flags describe through the same
+// sim.Spec a hotgauged client submits, so the CLI and the daemon
+// default, validate and hash a run identically, and records every
+// series the summary and artifacts print.
+func (o options) config() (sim.Config, error) {
+	scale, err := parseScale(o.scaleUnit)
+	if err != nil {
+		return sim.Config{}, err
+	}
+	spec := sim.Spec{
+		Workload: o.workload, Node: o.node, Core: o.core, Warmup: o.warmup, Steps: o.steps,
+		StopAtHotspot: o.stop, UseCycleModel: o.cycleModel, ScaleUnit: scale, ICAreaFactor: o.icArea,
+		TempThreshold: o.tempTh, MLTDThreshold: o.mltdTh, Radius: o.radius,
+		Solver: o.solver, SolverTol: o.solverTol, Stack: o.stack,
+	}
+	if o.surrogatePath != "" {
+		on := true
+		spec.Surrogate, spec.TriageBand, spec.AuditFrac = &on, o.triageBand, o.auditFrac
+	}
+	cfg, err := spec.Config()
+	if err != nil {
+		return sim.Config{}, err
+	}
+	cfg.Record = sim.RecordOptions{MLTD: true, Severity: true, TempPercentiles: true, HotspotUnits: true}
+	return cfg, nil
+}
+
 func run(o options) error {
-	prof, err := workload.Lookup(o.workload)
+	cfg, err := o.config()
 	if err != nil {
 		return err
-	}
-	kindScale, err := parseScale(o.scaleUnit)
-	if err != nil {
-		return err
-	}
-	cfg := sim.Config{
-		Floorplan: floorplan.Config{Node: tech.Node(o.node), KindScale: kindScale, ICAreaFactor: o.icArea},
-		Workload:  prof,
-		Core:      o.core,
-		Steps:     o.steps,
-		Record: sim.RecordOptions{
-			MLTD: true, Severity: true, TempPercentiles: true, HotspotUnits: true,
-		},
-		StopAtHotspot: o.stop,
-		UseCycleModel: o.cycleModel,
-		StackPreset:   o.stack,
-	}
-	solver, err := thermal.NewSolver(o.solver, o.solverTol)
-	if err != nil {
-		return err
-	}
-	cfg.Solver = solver
-	cfg.Definition.TempThreshold = o.tempTh
-	cfg.Definition.MLTDThreshold = o.mltdTh
-	cfg.Definition.Radius = o.radius
-	switch o.warmup {
-	case "cold":
-		cfg.Warmup = sim.WarmupCold
-	case "idle":
-		cfg.Warmup = sim.WarmupIdle
-	default:
-		return fmt.Errorf("unknown warmup mode %q (cold or idle)", o.warmup)
 	}
 	if o.metricsJSON != "" || o.verbose {
 		cfg.Obs = obs.NewRegistry()
@@ -271,9 +264,6 @@ func runTriaged(o options, cfg sim.Config) error {
 	if err != nil {
 		return err
 	}
-	cfg.Surrogate = true
-	cfg.TriageBand = o.triageBand
-	cfg.AuditFrac = o.auditFrac
 	res, err := triage(cfg, model)
 	if err != nil {
 		return err
@@ -353,11 +343,11 @@ func printStages(reg *obs.Registry) {
 		snap.Counters[sim.MetricThermalSubsteps], snap.Counters[sim.MetricThermalStability])
 }
 
-func parseScale(s string) (map[floorplan.Kind]float64, error) {
+func parseScale(s string) (map[string]float64, error) {
 	if s == "" {
 		return nil, nil
 	}
-	out := map[floorplan.Kind]float64{}
+	out := map[string]float64{}
 	for _, part := range strings.Split(s, ",") {
 		kv := strings.SplitN(part, "=", 2)
 		if len(kv) != 2 {
@@ -367,7 +357,7 @@ func parseScale(s string) (map[floorplan.Kind]float64, error) {
 		if _, err := fmt.Sscanf(kv[1], "%g", &factor); err != nil {
 			return nil, fmt.Errorf("bad scale factor %q: %w", kv[1], err)
 		}
-		out[floorplan.Kind(kv[0])] = factor
+		out[kv[0]] = factor
 	}
 	return out, nil
 }
@@ -503,15 +493,13 @@ func recordTrace(cfg sim.Config, path string) error {
 	return trace.WriteActivities(f, rec)
 }
 
-// printFloorplan renders the selected floorplan variant as ASCII art.
-func printFloorplan(node int, scaleStr string, icScale float64) error {
-	kindScale, err := parseScale(scaleStr)
+// printFloorplan renders the flags' floorplan variant as ASCII art.
+func printFloorplan(o options) error {
+	cfg, err := o.config()
 	if err != nil {
 		return err
 	}
-	fp, err := floorplan.New(floorplan.Config{
-		Node: tech.Node(node), KindScale: kindScale, ICAreaFactor: icScale,
-	})
+	fp, err := floorplan.New(cfg.Floorplan)
 	if err != nil {
 		return err
 	}

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"encoding/json"
+	"strings"
 	"testing"
 
 	"hotgauge/internal/floorplan"
@@ -15,7 +17,7 @@ func TestParseScale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m[floorplan.KindFpIWin] != 10 || m[floorplan.Kind("RAT_INT")] != 2.5 {
+	if m[string(floorplan.KindFpIWin)] != 10 || m["RAT_INT"] != 2.5 {
 		t.Fatalf("parsed %v", m)
 	}
 	if m, err := parseScale(""); err != nil || m != nil {
@@ -80,5 +82,79 @@ func TestTriageSkipsOrSimulates(t *testing.T) {
 		if got := snap.Counters[name]; got != want {
 			t.Errorf("%s = %d, want %d", name, got, want)
 		}
+	}
+}
+
+// flagDefaults is the options value of a bare invocation: every flag at
+// its registered default.
+func flagDefaults() options {
+	return options{
+		workload: "gcc", node: 7, warmup: "idle", steps: 100,
+		tempTh: 80, mltdTh: 25, radius: 1.0, heatmap: true,
+	}
+}
+
+// TestCLIAndDaemonAgree pins that the CLI and the daemon describe a run
+// the same way: the config the CLI builds from a flag set hashes equal
+// to the one hotgauged materializes from the same values on the wire
+// (the CLI's own Record choice aside, which no wire field expresses).
+func TestCLIAndDaemonAgree(t *testing.T) {
+	cases := []struct {
+		name string
+		set  func(o *options)
+		wire string
+	}{
+		{"defaults", func(o *options) {},
+			`{"workload":"gcc","node":7,"steps":100}`},
+		{"cold-adi-stacked", func(o *options) {
+			o.node, o.warmup, o.solver, o.solverTol, o.stack = 14, "cold", "adi", 0.05, "memory-on-core"
+		}, `{"workload":"gcc","node":14,"warmup":"cold","steps":100,"solver":"adi","solver_tol":0.05,"stack":"memory-on-core"}`},
+		{"mitigation-thresholds", func(o *options) {
+			o.node, o.scaleUnit, o.tempTh, o.mltdTh, o.radius = 10, "fpIWin=10,RAT_INT=2", 85, 20, 0.5
+		}, `{"workload":"gcc","node":10,"steps":100,"scale_unit":{"fpIWin":10,"RAT_INT":2},"temp_threshold":85,"mltd_threshold":20,"radius":0.5}`},
+		{"partial-definition", func(o *options) { o.tempTh = 0 },
+			`{"workload":"gcc","node":7,"steps":100,"mltd_threshold":25}`},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			o := flagDefaults()
+			tc.set(&o)
+			cli, err := o.config()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var spec sim.Spec
+			if err := json.Unmarshal([]byte(tc.wire), &spec); err != nil {
+				t.Fatal(err)
+			}
+			daemon, err := spec.Config()
+			if err != nil {
+				t.Fatal(err)
+			}
+			daemon.Record = cli.Record
+			hc, err := cli.Hash()
+			if err != nil {
+				t.Fatal(err)
+			}
+			hd, err := daemon.Hash()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if hc != hd {
+				t.Errorf("CLI config hashes %s, the daemon's %s", hc, hd)
+			}
+		})
+	}
+}
+
+// TestCLIRejectsUnknownNode: an unsupported node fails with the spec's
+// error rather than running another generation's physics under its
+// label.
+func TestCLIRejectsUnknownNode(t *testing.T) {
+	o := flagDefaults()
+	o.node = 22
+	_, err := o.config()
+	if err == nil || !strings.Contains(err.Error(), "unknown node 22") {
+		t.Fatalf("-node 22: err = %v, want the spec's unknown-node error", err)
 	}
 }

@@ -6,9 +6,12 @@ import (
 	"go/token"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"strings"
 	"testing"
+
+	"hotgauge/internal/sim"
 )
 
 // TestInternalPackageDocs is the docs lint: every internal/ package
@@ -127,6 +130,49 @@ func TestDocFlagTablesMatchBinaries(t *testing.T) {
 	}
 	if checked < 30 {
 		t.Fatalf("checked only %d flag-table rows; the table scan is broken", checked)
+	}
+}
+
+// TestHTTPAPIDocCoversSpecFields keeps the config-field table of
+// docs/HTTP_API.md in step with sim.Spec: every JSON key the wire form
+// decodes must be named in the table's first column, so a spec field
+// cannot ship undocumented.
+func TestHTTPAPIDocCoversSpecFields(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("docs", "HTTP_API.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	keyRe := regexp.MustCompile("`([a-z_]+)`")
+	documented := map[string]bool{}
+	inTable := false
+	for _, line := range strings.Split(string(data), "\n") {
+		if strings.HasPrefix(line, "Config fields") {
+			inTable = true
+			continue
+		}
+		if !inTable {
+			continue
+		}
+		if !strings.HasPrefix(line, "|") {
+			if len(documented) > 0 {
+				break // end of the table
+			}
+			continue
+		}
+		first := strings.SplitN(line, "|", 3)[1]
+		for _, m := range keyRe.FindAllStringSubmatch(first, -1) {
+			documented[m[1]] = true
+		}
+	}
+	if len(documented) == 0 {
+		t.Fatal(`docs/HTTP_API.md has no "Config fields" table`)
+	}
+	spec := reflect.TypeOf(sim.Spec{})
+	for i := 0; i < spec.NumField(); i++ {
+		key, _, _ := strings.Cut(spec.Field(i).Tag.Get("json"), ",")
+		if !documented[key] {
+			t.Errorf("docs/HTTP_API.md's config-field table does not document the sim.Spec key %q", key)
+		}
 	}
 }
 

@@ -3,7 +3,10 @@
 // long-running service. Clients POST a campaign (a list of run specs),
 // poll job status, stream live progress as SSE or NDJSON (one event per
 // resolved run), and fetch per-run results and Section-4-style text
-// reports.
+// reports. A run spec is sim.Spec (ConfigSpec here): the daemon's
+// Options defaults (solver, stack, surrogate triage) form one overlay
+// spec, folded into every submission with sim.Spec.WithDefaults before
+// it is hashed, journaled or dispatched.
 //
 // The subsystem is built from three pieces: a bounded job queue with
 // explicit backpressure (HTTP 429 + Retry-After when full), a worker

@@ -182,15 +182,12 @@ func (s *Server) recoverJournal() (requeue []*Job, err error) {
 		// Queued or in-flight at the crash: requeue from the top. The
 		// cache pass serves its already-persisted runs from the result
 		// store, so only genuinely unfinished work re-executes.
-		cfgs := make([]sim.Config, len(rj.specs))
 		bad := ""
 		for i, spec := range rj.specs {
-			cfg, cerr := spec.Config()
-			if cerr != nil {
+			if _, cerr := spec.Config(); cerr != nil {
 				bad = fmt.Sprintf("run %d no longer materializes after restart: %v", i, cerr)
 				break
 			}
-			cfgs[i] = cfg
 		}
 		if bad != "" {
 			// The daemon that accepted this spec could run it; this one
@@ -202,7 +199,7 @@ func (s *Server) recoverJournal() (requeue []*Job, err error) {
 			addRec(journalRecord{Type: recFinished, Job: id, State: string(JobFailed), Error: bad})
 			continue
 		}
-		j := newJob(s.baseCtx, id, rj.specs, cfgs, rj.hashes)
+		j := newJob(s.baseCtx, id, rj.specs, rj.hashes)
 		j.recovered = true
 		j.dedupKey = campaignKey(rj.hashes)
 		s.jobs[id] = j

@@ -4,8 +4,6 @@ import (
 	"context"
 	"sync"
 	"time"
-
-	"hotgauge/internal/sim"
 )
 
 // JobState is a job's lifecycle state.
@@ -68,7 +66,6 @@ type Job struct {
 
 	mu        sync.Mutex
 	state     JobState
-	cfgs      []sim.Config
 	hashes    []string
 	runs      []RunStatus
 	results   [][]byte // marshaled RunView per run; nil until available
@@ -93,7 +90,7 @@ type Job struct {
 	dedupKey string
 }
 
-func newJob(parent context.Context, id string, specs []ConfigSpec, cfgs []sim.Config, hashes []string) *Job {
+func newJob(parent context.Context, id string, specs []ConfigSpec, hashes []string) *Job {
 	ctx, cancel := context.WithCancel(parent)
 	j := &Job{
 		ID:        id,
@@ -101,10 +98,9 @@ func newJob(parent context.Context, id string, specs []ConfigSpec, cfgs []sim.Co
 		ctx:       ctx,
 		cancel:    cancel,
 		state:     JobQueued,
-		cfgs:      cfgs,
 		hashes:    hashes,
-		runs:      make([]RunStatus, len(cfgs)),
-		results:   make([][]byte, len(cfgs)),
+		runs:      make([]RunStatus, len(hashes)),
+		results:   make([][]byte, len(hashes)),
 		submitted: time.Now(),
 		changed:   make(chan struct{}),
 	}

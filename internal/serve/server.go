@@ -179,6 +179,10 @@ type Server struct {
 	// surrogate is configured). Daemon-lifetime, so surrogate/* metrics
 	// and the audit MAE span every job this process serves.
 	triager *sim.Triager
+	// defaults is the overlay handleSubmit folds into every submitted
+	// spec before hashing (sim.Spec.WithDefaults), built once from the
+	// Options defaults.
+	defaults ConfigSpec
 
 	mu     sync.Mutex
 	jobs   map[string]*Job
@@ -268,8 +272,12 @@ func New(opts Options) (*Server, error) {
 		mDeduped:      opts.Registry.Counter(MetricJobsDeduped),
 		mOrphanLeases: opts.Registry.Counter(cluster.MetricOrphanLeases),
 	}
+	s.defaults = ConfigSpec{Solver: opts.DefaultSolver, Stack: opts.DefaultStack}
 	if opts.Surrogate != nil {
 		s.triager = sim.NewTriager(sim.TriageOptions{Predictor: opts.Surrogate}, opts.Registry)
+		on := true
+		s.defaults.Surrogate = &on
+		s.defaults.TriageBand, s.defaults.AuditFrac = opts.TriageBand, opts.AuditFrac
 	}
 	if opts.ChaosProfile != "" {
 		prof, err := chaos.ParseProfile(opts.ChaosProfile)
@@ -512,17 +520,21 @@ func (s *Server) runJob(j *Job) {
 	if s.triager != nil && len(missIdx) > 0 {
 		kept := missIdx[:0]
 		for _, i := range missIdx {
-			if !j.cfgs[i].Surrogate {
+			// Submission (or recovery) already proved the spec
+			// materializes; a failure here leaves the run to execution,
+			// which reports it on the run.
+			cfg, err := j.Specs[i].Config()
+			if err != nil || !cfg.Surrogate {
 				kept = append(kept, i)
 				continue
 			}
-			d := s.triager.Score(j.cfgs[i])
+			d := s.triager.Score(cfg)
 			decisions[i] = d
 			if d.ExactRun {
 				kept = append(kept, i)
 				continue
 			}
-			res := s.triager.PredictedResult(j.cfgs[i], d)
+			res := s.triager.PredictedResult(cfg, d)
 			data, merr := json.Marshal(newRunView(j.Specs[i], j.hashes[i], res))
 			if merr != nil {
 				kept = append(kept, i) // unrepresentable prediction: run exactly
@@ -564,9 +576,6 @@ func (s *Server) runJob(j *Job) {
 // transient errors and short stalls, seeded per run so a given
 // (seed, run) pair always misbehaves the same way.
 func (s *Server) flakySolver(inner thermal.Solver, run int64) thermal.Solver {
-	if inner == nil {
-		inner = &thermal.Explicit{}
-	}
 	r := s.opts.FaultRate
 	return &fault.FlakySolver{
 		Inner:     inner,
@@ -616,49 +625,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "empty campaign: configs is required")
 		return
 	}
-	// Resolve the daemon's default solver into each spec before hashing:
-	// the stored spec, the content address and whatever a cluster worker
-	// re-materializes must all agree on which solver ran.
-	if s.opts.DefaultSolver != "" {
-		for i := range req.Configs {
-			if req.Configs[i].Solver == "" {
-				req.Configs[i].Solver = s.opts.DefaultSolver
-			}
-		}
+	// Fold the daemon's defaults (solver, stack, surrogate triage) into
+	// each spec before hashing: the stored spec, the content address and
+	// whatever a cluster worker re-materializes must all agree on how the
+	// run resolves, rather than depend on an ambient daemon setting.
+	for i := range req.Configs {
+		req.Configs[i] = req.Configs[i].WithDefaults(s.defaults)
 	}
-	// And the default stack: specs that pin neither a preset nor custom
-	// layers inherit the daemon's stacked scenario, resolved before
-	// hashing for the same reason as the solver.
-	if s.opts.DefaultStack != "" {
-		for i := range req.Configs {
-			if req.Configs[i].Stack == "" && len(req.Configs[i].Layers) == 0 {
-				req.Configs[i].Stack = s.opts.DefaultStack
-			}
-		}
-	}
-	// Likewise the surrogate defaults: a daemon holding a model opts
-	// unset specs into triage (explicit surrogate:false still pins exact
-	// execution) and fills the zero-valued triage knobs, all before
-	// hashing so the content address records the policy that resolved
-	// the run.
-	if s.opts.Surrogate != nil {
-		for i := range req.Configs {
-			c := &req.Configs[i]
-			if c.Surrogate == nil {
-				on := true
-				c.Surrogate = &on
-			}
-			if *c.Surrogate {
-				if c.TriageBand == 0 {
-					c.TriageBand = s.opts.TriageBand
-				}
-				if c.AuditFrac == 0 {
-					c.AuditFrac = s.opts.AuditFrac
-				}
-			}
-		}
-	}
-	cfgs := make([]sim.Config, len(req.Configs))
 	hashes := make([]string, len(req.Configs))
 	for i, spec := range req.Configs {
 		cfg, err := spec.Config()
@@ -671,7 +644,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			httpError(w, http.StatusBadRequest, fmt.Sprintf("config %d: %v", i, err))
 			return
 		}
-		cfgs[i], hashes[i] = cfg, h
+		hashes[i] = h
 	}
 
 	key := campaignKey(hashes)
@@ -690,7 +663,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			s.mDeduped.Inc()
 			writeJSON(w, http.StatusOK, submitResponse{
 				ID:           prev,
-				Total:        len(cfgs),
+				Total:        len(hashes),
 				Hashes:       hashes,
 				Status:       "/jobs/" + prev,
 				Events:       "/jobs/" + prev + "/events",
@@ -702,7 +675,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	s.seq++
 	id := fmt.Sprintf("job-%06d", s.seq)
-	job := newJob(s.baseCtx, id, req.Configs, cfgs, hashes)
+	job := newJob(s.baseCtx, id, req.Configs, hashes)
 	job.dedupKey = key
 	select {
 	case s.queue <- job:
@@ -724,7 +697,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.journalRec(journalRecord{Type: recSubmitted, Job: id, Specs: req.Configs, Hashes: hashes})
 	writeJSON(w, http.StatusAccepted, submitResponse{
 		ID:     id,
-		Total:  len(cfgs),
+		Total:  len(hashes),
 		Hashes: hashes,
 		Status: "/jobs/" + id,
 		Events: "/jobs/" + id + "/events",

@@ -72,8 +72,8 @@ type Config struct {
 	// campaigns use this to avoid simulating beyond the answer.
 	StopAtHotspot bool
 
-	// Definition parameterizes hotspot detection; zero value uses the
-	// case-study thresholds (80 °C, 25 °C, 1 mm).
+	// Definition parameterizes hotspot detection; each zero field takes
+	// its case-study value (80 °C, 25 °C, 1 mm).
 	Definition core.Definition
 
 	// Resolution is the thermal grid pitch [mm]; zero uses 0.1 mm.
@@ -229,6 +229,16 @@ type RecordOptions struct {
 	UnitSeverity []string
 }
 
+// Normalized returns a copy of c with every default filled in — the
+// config Run simulates and Hash addresses — or the validation error Run
+// would fail with. Callers that derive anything from a config (the
+// surrogate's features, say) read it through Normalized so a sparse
+// config and its filled twin agree.
+func (c Config) Normalized() (Config, error) {
+	err := c.normalize()
+	return c, err
+}
+
 // normalize fills defaults and validates.
 func (c *Config) normalize() error {
 	if c.Floorplan.Node == 0 {
@@ -243,8 +253,15 @@ func (c *Config) normalize() error {
 	if err := c.Workload.Validate(); err != nil {
 		return err
 	}
-	if c.Definition == (core.Definition{}) {
-		c.Definition = core.DefaultDefinition()
+	def := core.DefaultDefinition()
+	if c.Definition.TempThreshold == 0 {
+		c.Definition.TempThreshold = def.TempThreshold
+	}
+	if c.Definition.MLTDThreshold == 0 {
+		c.Definition.MLTDThreshold = def.MLTDThreshold
+	}
+	if c.Definition.Radius == 0 {
+		c.Definition.Radius = def.Radius
 	}
 	if c.Resolution == 0 {
 		c.Resolution = thermal.DefaultResolution

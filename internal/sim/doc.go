@@ -5,7 +5,12 @@
 // steps the thermal solver, and runs the hotspot characterization of
 // internal/core on every junction-temperature frame.
 //
-// One Run is one (floorplan, workload, core, warmup) configuration; the
+// One Run is one (floorplan, workload, core, warmup) configuration. Spec
+// is its declarative JSON form — the hotgauged wire format and what the
+// hotgauge CLI builds from its flags — and Spec.Config the one
+// materialization; Spec.WithDefaults overlays a caller's defaults onto
+// a spec's unset fields. Config.Normalized fills the remaining defaults
+// (the hotspot definition field by field) exactly as Run and Hash do. The
 // Campaign helper fans Runs out across CPUs for the paper's sweeps,
 // continuing past individual failures and joining every per-run error.
 // CampaignOpts adds worker caps, live Progress/ETA reporting, and

@@ -187,10 +187,10 @@ func canonicalSolver(s thermal.Solver) (string, error) {
 	case *thermal.ADI:
 		tol, maxSub := sv.ErrTol, sv.MaxSubsteps
 		if tol <= 0 {
-			tol = 0.1
+			tol = thermal.DefaultADIErrTol
 		}
 		if maxSub <= 0 {
-			maxSub = 64
+			maxSub = thermal.DefaultADIMaxSubsteps
 		}
 		return fmt.Sprintf("adi/tol=%g,maxsub=%d", tol, maxSub), nil
 	default:

@@ -5,7 +5,6 @@ import (
 	"math"
 	"sort"
 
-	"hotgauge/internal/core"
 	"hotgauge/internal/floorplan"
 	"hotgauge/internal/perf"
 	"hotgauge/internal/power"
@@ -83,50 +82,21 @@ func Features(cfg sim.Config) ([]float64, error) {
 	if cfg.Controller != nil {
 		return nil, fmt.Errorf("surrogate: config with a Controller has no analytic features")
 	}
-	if cfg.Steps <= 0 {
-		return nil, fmt.Errorf("surrogate: non-positive step count %d", cfg.Steps)
-	}
-	if err := cfg.Workload.Validate(); err != nil {
+	// Read the normalized config, so a sparse config and its filled twin
+	// extract identical features (they hash and simulate identically
+	// too), and a stack preset counts its own layers.
+	c, err := cfg.Normalized()
+	if err != nil {
 		return nil, err
 	}
-	// Mirror the simulator's defaults so a sparse config and its
-	// normalized twin extract identical features (they hash and simulate
-	// identically too).
-	c := cfg
-	if c.Floorplan.Node == 0 {
-		c.Floorplan.Node = tech.Node14
-	}
-	if c.Definition == (core.Definition{}) {
-		c.Definition = core.DefaultDefinition()
-	}
-	if c.Resolution == 0 {
-		c.Resolution = thermal.DefaultResolution
-	}
-	if c.Ambient == 0 {
-		c.Ambient = thermal.DefaultAmbient
-	}
-	if c.SinkConductance == 0 {
-		c.SinkConductance = thermal.SinkConductance
-	}
-	stackLayers := len(c.Stack)
-	if stackLayers == 0 {
-		stackLayers = len(thermal.DefaultStack())
-	}
-	cycles := c.CyclesPerStep
-	if cycles == 0 {
-		cycles = workload.TimestepCycles
-	}
+	// A zero area factor is floorplan's unscaled die, encoded as its 1.
 	icArea := c.Floorplan.ICAreaFactor
 	if icArea == 0 {
 		icArea = 1
 	}
-
 	fp, err := floorplan.New(c.Floorplan)
 	if err != nil {
 		return nil, err
-	}
-	if c.Core < 0 || c.Core >= floorplan.NumCores {
-		return nil, fmt.Errorf("surrogate: core %d out of range", c.Core)
 	}
 
 	var f featureVec
@@ -140,7 +110,7 @@ func Features(cfg sim.Config) ([]float64, error) {
 	f.add("resolution_mm", c.Resolution)
 	f.add("ambient_c", c.Ambient)
 	f.add("sink_conductance_w_per_k", c.SinkConductance)
-	f.add("stack_layers", float64(stackLayers))
+	f.add("stack_layers", float64(len(c.Stack)))
 
 	f.add("steps", float64(c.Steps))
 	f.add("steps_log2", math.Log2(float64(c.Steps)))
@@ -183,7 +153,7 @@ func Features(cfg sim.Config) ([]float64, error) {
 	f.add("smt", boolF(c.SMTWorkload != nil))
 	f.add("assignments", float64(len(c.Assignments)))
 
-	stats, err := powerProbe(&c, fp, cycles, period)
+	stats, err := powerProbe(&c, fp, c.CyclesPerStep, period)
 	if err != nil {
 		return nil, err
 	}

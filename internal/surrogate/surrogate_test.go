@@ -12,6 +12,7 @@ import (
 	"hotgauge/internal/perf"
 	"hotgauge/internal/sim"
 	"hotgauge/internal/tech"
+	"hotgauge/internal/thermal"
 	"hotgauge/internal/workload"
 )
 
@@ -109,6 +110,50 @@ func TestFeaturesNormalizationInvariant(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("feature %q differs between sparse and normalized config: %v vs %v",
 				FeatureNames()[i], a[i], b[i])
+		}
+	}
+}
+
+// TestFeaturesStackLayers: a stacked preset's stack_layers feature is
+// its preset stack's layer count, so triage can tell a stacked run from
+// its single-die twin.
+func TestFeaturesStackLayers(t *testing.T) {
+	presetStacks := map[string][]thermal.Layer{
+		sim.StackCoreOnMemory: thermal.CoreOnMemoryStack(),
+		sim.StackMemoryOnCore: thermal.MemoryOnCoreStack(),
+		sim.StackGPUSM:        thermal.GPUSMStack(),
+	}
+	at := -1
+	for i, name := range FeatureNames() {
+		if name == "stack_layers" {
+			at = i
+		}
+	}
+	single, err := Features(testConfig(t, "gcc", 10, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := float64(len(thermal.DefaultStack())); single[at] != want {
+		t.Fatalf("single-die stack_layers = %v, want %v", single[at], want)
+	}
+	for _, preset := range sim.StackPresets() {
+		stack, ok := presetStacks[preset]
+		if !ok {
+			t.Fatalf("preset %q has no expected stack in this test", preset)
+		}
+		cfg, err := sim.Spec{Workload: "gcc", Node: 7, Steps: 10, Stack: preset}.Config()
+		if err != nil {
+			t.Fatal(err)
+		}
+		x, err := Features(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := float64(len(stack)); x[at] != want {
+			t.Errorf("%s: stack_layers = %v, want its preset's %v layers", preset, x[at], want)
+		}
+		if x[at] == single[at] {
+			t.Errorf("%s: stack_layers = %v, indistinguishable from the single die", preset, x[at])
 		}
 	}
 }

@@ -7,6 +7,14 @@ import (
 	"hotgauge/internal/obs"
 )
 
+// The ADI solver's defaults for a zero ErrTol and MaxSubsteps. They are
+// part of every ADI config's content address, so changing either moves
+// those hashes.
+const (
+	DefaultADIErrTol      = 0.1
+	DefaultADIMaxSubsteps = 64
+)
+
 // ADI is an alternating-direction-implicit transient solver
 // (Douglas–Gunn splitting, the 3-D generalization of Peaceman–Rachford)
 // with adaptive substepping. Each substep solves three families of
@@ -46,13 +54,14 @@ import (
 // After the first Step on a grid it performs no per-Step allocations.
 type ADI struct {
 	// ErrTol bounds the estimated temperature error added per simulation
-	// timestep [°C] (default 0.1). Quiescent frames commit in one
+	// timestep [°C] (0 = DefaultADIErrTol). Quiescent frames commit in one
 	// substep; frames whose local-truncation estimate exceeds ErrTol
 	// subdivide by step-doubling until the Richardson estimate meets it.
 	ErrTol float64
-	// MaxSubsteps caps the adaptive subdivision (default 64). A Step
-	// that still exceeds ErrTol at the cap completes anyway (the scheme
-	// is unconditionally stable) and increments StabilityHits.
+	// MaxSubsteps caps the adaptive subdivision (0 =
+	// DefaultADIMaxSubsteps). A Step that still exceeds ErrTol at the
+	// cap completes anyway (the scheme is unconditionally stable) and
+	// increments StabilityHits.
 	MaxSubsteps int
 
 	// Substeps, when set, counts ADI substeps executed, including the
@@ -106,11 +115,11 @@ func (a *ADI) Step(g *Grid, s *State, power *Power, dt float64) error {
 	}
 	tol := a.ErrTol
 	if tol <= 0 {
-		tol = 0.1
+		tol = DefaultADIErrTol
 	}
 	maxSub := a.MaxSubsteps
 	if maxSub <= 0 {
-		maxSub = 64
+		maxSub = DefaultADIMaxSubsteps
 	}
 	cells := len(s.T)
 	if cap(a.save) < cells {
