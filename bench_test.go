@@ -235,7 +235,7 @@ func BenchmarkSec4ATempScaling(b *testing.B) {
 			benchRun(b, cfg)
 		}
 	}
-	b.Run("explicit", func(b *testing.B) { run(b, nil) }) // default solver
+	b.Run("explicit", func(b *testing.B) { run(b, &thermal.Explicit{}) })
 	b.Run("adi", func(b *testing.B) { run(b, &thermal.ADI{}) })
 }
 

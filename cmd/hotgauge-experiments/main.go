@@ -66,7 +66,7 @@ var order = []string{
 }
 
 func main() {
-	quick := flag.Bool("quick", false, "reduced workload/core sets and step caps (~1 minute total)")
+	quick := flag.Bool("quick", false, "reduced workload/core sets and step caps (~10 s total)")
 	svgDir := flag.String("svg", "", "directory to write SVG figures into")
 	metricsJSON := flag.String("metrics-json", "", "write a JSON dump of the aggregated metrics registry to this file")
 	pprofCPU := flag.String("pprof-cpu", "", "write a CPU profile of the experiment run to this file")
@@ -158,9 +158,15 @@ func writeFigures(dir string, result fmt.Stringer) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	for name, doc := range fig.Figures() {
+	figs := fig.Figures()
+	names := make([]string, 0, len(figs))
+	for name := range figs {
+		names = append(names, name)
+	}
+	sort.Strings(names) // a stable "wrote" order keeps the output reproducible
+	for _, name := range names {
 		path := filepath.Join(dir, name+".svg")
-		if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+		if err := os.WriteFile(path, []byte(figs[name]), 0o644); err != nil {
 			return err
 		}
 		fmt.Printf("wrote %s\n", path)

@@ -11,7 +11,7 @@ import (
 )
 
 // Options tunes experiment cost. Quick mode cuts workload sets, core
-// sweeps and step caps so the full suite runs in about a minute; full
+// sweeps and step caps so the full suite runs in seconds; full
 // mode reproduces the paper's sweeps.
 type Options struct {
 	Quick bool

@@ -18,6 +18,7 @@ func TestTable1RendersConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "table1", r.String())
 	out := r.String()
 	for _, want := range []string{"224", "72", "56", "97", "Shared ring, 16 MiB"} {
 		if !strings.Contains(out, want) {
@@ -31,6 +32,7 @@ func TestTable2RendersStack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "table2", r.String())
 	out := r.String()
 	for _, want := range []string{"silicon-active", "solder-tim", "copper-spreader", "grease", "heatsink"} {
 		if !strings.Contains(out, want) {
@@ -44,6 +46,7 @@ func TestTable3MatchesPaperAccuracy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "table3", r.String())
 	if r.AvgErr14 > 0.16 || r.AvgErr10 > 0.28 {
 		t.Fatalf("validation errors too large: 14nm %.0f%%, 10nm %.0f%%", r.AvgErr14*100, r.AvgErr10*100)
 	}
@@ -57,6 +60,7 @@ func TestTable4Trend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "table4", r.String())
 	if !(r.Psi[0] < r.Psi[1] && r.Psi[1] < r.Psi[2]) {
 		t.Fatalf("Ψ not increasing across nodes: %v", r.Psi)
 	}
@@ -70,6 +74,7 @@ func TestPowerDensityShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "powerdensity", r.String())
 	// Total power decreases per node; density increases; 7 nm ≈ 2-3× the
 	// Dennard-constant expectation.
 	for _, w := range r.Workloads {
@@ -91,6 +96,7 @@ func TestFig1ShowsAdvancedHotspot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "fig1", r.String())
 	if r.PeakTemp < 85 {
 		t.Fatalf("peak temp %.1f too low for a hotspot snapshot", r.PeakTemp)
 	}
@@ -110,6 +116,7 @@ func TestFig2DeltaDistributionWiderAt7nm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "fig2", r.String())
 	if r.Spread7 <= r.Spread14 {
 		t.Fatalf("7nm delta spread %.2f not wider than 14nm %.2f", r.Spread7, r.Spread14)
 	}
@@ -123,6 +130,7 @@ func TestFig7SeverityAnchors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "fig7", r.String())
 	// Monotone in both axes, saturating at high temperature.
 	for i := range r.Sev {
 		for j := 1; j < len(r.Sev[i]); j++ {
@@ -142,6 +150,7 @@ func TestFig8WarmupAcceleratesCrossing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "fig8", r.String())
 	// Idle warmup must cross 110 °C, and strictly sooner than cold.
 	if math.IsInf(r.Cross110Idle, 1) {
 		t.Fatal("idle-warmup run never crossed 110°C")
@@ -156,6 +165,7 @@ func TestFig9MLTDShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "fig9", r.String())
 	m14 := r.SideMeans(tech.Node14)
 	m7 := r.SideMeans(tech.Node7)
 	avg := func(m map[string]float64) float64 {
@@ -179,6 +189,7 @@ func TestFig10TUHDecreasesWithNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "fig10", r.String())
 	p14, p7 := r.Pcts[tech.Node14], r.Pcts[tech.Node7]
 	if !(p7[2] < p14[2]) {
 		t.Fatalf("7nm median TUH %.4f not below 14nm %.4f", p7[2], p14[2])
@@ -193,6 +204,7 @@ func TestFig11SpreadAndWarmupSensitivity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "fig11", r.String())
 	if r.SpreadOrders() < 1.5 {
 		t.Fatalf("TUH spread %.1f orders, want ≥1.5 even in quick mode", r.SpreadOrders())
 	}
@@ -219,6 +231,7 @@ func TestFig12HotUnitsMatchPaper(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "fig12", r.String())
 	top := r.Top()
 	if len(top) < 3 {
 		t.Fatalf("only %d unit kinds hotspotted", len(top))
@@ -259,6 +272,7 @@ func TestFig13MitigationShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "fig13", r.String())
 	rms := func(wl, label string) float64 {
 		for _, c := range r.Workload[wl] {
 			if c.Label == label {
@@ -294,6 +308,7 @@ func TestFig14RATScalingInsufficient(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "fig14", r.String())
 	above, reach1 := 0, 0
 	for _, row := range r.Rows {
 		if row.Sev7RATx10 > row.Sev14 {
@@ -316,6 +331,7 @@ func TestICScaleWithinPaperBand(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "icscale", r.String())
 	for _, row := range r.Rows {
 		if math.IsNaN(row.AreaFactor) {
 			t.Errorf("%s: no area factor found within the search limit", row.Workload)
@@ -333,6 +349,7 @@ func TestTempScalingFaster(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "tempscaling", r.String())
 	m14, m7 := r.TimeToMeanUp[tech.Node14], r.TimeToMeanUp[tech.Node7]
 	if math.IsInf(m7, 1) || math.IsInf(m14, 1) {
 		t.Fatalf("thresholds not crossed: 14nm %v, 7nm %v", m14, m7)
@@ -347,6 +364,7 @@ func TestDTMPoliciesImproveOnBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "dtm", r.String())
 	if len(r.Outcomes) < 4 {
 		t.Fatalf("only %d policies evaluated", len(r.Outcomes))
 	}
@@ -383,6 +401,7 @@ func TestCoolingOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "cooling", r.String())
 	if len(r.Rows) != 3 {
 		t.Fatalf("%d cooling rows", len(r.Rows))
 	}
@@ -404,6 +423,7 @@ func TestLifetimesTracked(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "lifetimes", r.String())
 	if r.Count == 0 {
 		t.Fatal("no hotspots tracked")
 	}
@@ -420,6 +440,7 @@ func TestFloorplanningVariantsDiffer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "floorplanning", r.String())
 	if len(r.Rows) < 4 {
 		t.Fatalf("only %d placement variants", len(r.Rows))
 	}
@@ -443,6 +464,7 @@ func TestAVXHotspotsConcentrate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "avx", r.String())
 	if r.AVXShare < 0.15 {
 		t.Fatalf("avxstress AVX512 hotspot share %.0f%%, want a high volume in the AVX unit", r.AVXShare*100)
 	}
@@ -462,6 +484,7 @@ func TestBeyond7TrendsWorsen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "beyond7", r.String())
 	if len(r.Rows) != 4 {
 		t.Fatalf("%d rows", len(r.Rows))
 	}

@@ -235,7 +235,12 @@ func (r *LifetimeResult) String() string {
 	for k := range r.ByKind {
 		kinds = append(kinds, k)
 	}
-	sort.Slice(kinds, func(a, b int) bool { return r.ByKind[kinds[a]] > r.ByKind[kinds[b]] })
+	sort.Slice(kinds, func(a, b int) bool {
+		if r.ByKind[kinds[a]] != r.ByKind[kinds[b]] {
+			return r.ByKind[kinds[a]] > r.ByKind[kinds[b]]
+		}
+		return kinds[a] < kinds[b] // ties in name order, so the report is deterministic
+	})
 	labels := make([]string, len(kinds))
 	values := make([]float64, len(kinds))
 	for i, k := range kinds {

@@ -131,7 +131,8 @@ func Heatmap(f *geometry.Field) string {
 }
 
 // Bars renders labeled horizontal bars scaled to the maximum value —
-// used for histograms and per-unit hotspot counts.
+// used for histograms and per-unit hotspot counts. Whole values print
+// as integers, so a count reads as a count.
 func Bars(labels []string, values []float64, width int) string {
 	if width <= 0 {
 		width = 50
@@ -156,7 +157,11 @@ func Bars(labels []string, values []float64, width int) string {
 			label = labels[i]
 		}
 		n := int(v / maxV * float64(width))
-		fmt.Fprintf(&b, "%-*s |%s %s\n", maxL, label, strings.Repeat("#", n), formatFloat(v))
+		val := formatFloat(v)
+		if v == math.Trunc(v) && math.Abs(v) < 1e15 {
+			val = fmt.Sprintf("%.0f", v)
+		}
+		fmt.Fprintf(&b, "%-*s |%s %s\n", maxL, label, strings.Repeat("#", n), val)
 	}
 	return b.String()
 }

@@ -77,6 +77,9 @@ func TestBars(t *testing.T) {
 	if strings.Count(lines[0], "#") != 5 {
 		t.Fatalf("half bar wrong: %q", lines[0])
 	}
+	if !strings.HasSuffix(lines[1], "# 4") {
+		t.Fatalf("whole value not printed as an integer: %q", lines[1])
+	}
 }
 
 func TestBarsEmptyAndZero(t *testing.T) {

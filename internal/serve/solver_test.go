@@ -47,11 +47,17 @@ func TestSpecSolverMaterialization(t *testing.T) {
 		t.Fatal("unknown solver name materialized without error")
 	}
 
-	// "" and "explicit" are the same run and must share a content address.
+	// "" and "adi" are the same run and must share a content address;
+	// the explicit oracle is a different run.
+	plain := base
+	plain.Solver = "adi"
+	if got, want := specHash(t, plain), specHash(t, base); got != want {
+		t.Fatalf("adi hash %s != unset-solver hash %s", got, want)
+	}
 	exp := base
 	exp.Solver = "explicit"
-	if got, want := specHash(t, exp), specHash(t, base); got != want {
-		t.Fatalf("explicit hash %s != unset-solver hash %s", got, want)
+	if specHash(t, exp) == specHash(t, base) {
+		t.Fatal("explicit spec hashes like the unset (ADI) default")
 	}
 }
 
@@ -61,25 +67,25 @@ func TestSpecSolverMaterialization(t *testing.T) {
 // alone — so cache keys and cluster shards depend only on the resolved
 // spec, never on ambient daemon settings.
 func TestDefaultSolverFolding(t *testing.T) {
-	_, ts := newTestServer(t, Options{DefaultSolver: "adi"})
+	_, ts := newTestServer(t, Options{DefaultSolver: "explicit"})
 
 	unset := ConfigSpec{Workload: "gcc", Steps: 2}
 	got := submit(t, ts, unset)
 
-	adi := unset
-	adi.Solver = "adi"
-	if want := specHash(t, adi); got.Hashes[0] != want {
-		t.Fatalf("folded hash %s, want the explicit adi spec's %s", got.Hashes[0], want)
+	exp := unset
+	exp.Solver = "explicit"
+	if want := specHash(t, exp); got.Hashes[0] != want {
+		t.Fatalf("folded hash %s, want the pinned explicit spec's %s", got.Hashes[0], want)
 	}
 
 	// A pinned solver wins over the daemon default.
 	pinned := unset
-	pinned.Solver = "explicit"
+	pinned.Solver = "adi"
 	got = submit(t, ts, pinned)
 	if want := specHash(t, pinned); got.Hashes[0] != want {
 		t.Fatalf("pinned-solver hash %s, want %s", got.Hashes[0], want)
 	}
-	if got.Hashes[0] == specHash(t, adi) {
+	if got.Hashes[0] == specHash(t, exp) {
 		t.Fatal("daemon default overrode an explicitly pinned solver")
 	}
 }

@@ -101,56 +101,65 @@ func ckptConfig(t *testing.T, steps int) Config {
 // TestCheckpointResumeBitIdentical is the equivalence property the whole
 // checkpoint layer hangs on: a run killed at a (varied) mid-flight step
 // by an injected transient fault, retried with its checkpoint, produces
-// exactly the series an uninterrupted run produces — for the explicit
-// solver, bit-identical.
+// exactly the series an uninterrupted run produces — bit-identical for
+// both stock solvers, whose adaptation is stateless across Step calls.
 func TestCheckpointResumeBitIdentical(t *testing.T) {
 	const steps = 12
-	base, err := Run(ckptConfig(t, steps))
-	if err != nil {
-		t.Fatal(err)
-	}
+	for _, solver := range []func() thermal.Solver{
+		func() thermal.Solver { return &thermal.Explicit{} },
+		func() thermal.Solver { return &thermal.ADI{} },
+	} {
+		t.Run(solver().Name(), func(t *testing.T) {
+			ref := ckptConfig(t, steps)
+			ref.Solver = solver()
+			base, err := Run(ref)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	// Solver call n is step n-1 (cold warmup makes no solver calls), so
-	// these cover a kill before the first snapshot, between snapshots,
-	// and on the last step.
-	for _, errorAt := range []int{2, 5, 7, 12} {
-		reg := obs.NewRegistry()
-		mem := &memCheckpointer{}
-		cfg := ckptConfig(t, steps)
-		cfg.Obs = reg
-		cfg.Checkpoint = mem
-		cfg.CheckpointEvery = 3
-		cfg.Solver = &fault.FlakySolver{Inner: &thermal.Explicit{}, ErrorAt: errorAt}
+			// Solver call n is step n-1 (cold warmup makes no solver
+			// calls), so these cover a kill before the first snapshot,
+			// between snapshots, and on the last step.
+			for _, errorAt := range []int{2, 5, 7, 12} {
+				reg := obs.NewRegistry()
+				mem := &memCheckpointer{}
+				cfg := ckptConfig(t, steps)
+				cfg.Obs = reg
+				cfg.Checkpoint = mem
+				cfg.CheckpointEvery = 3
+				cfg.Solver = &fault.FlakySolver{Inner: solver(), ErrorAt: errorAt}
 
-		res, err := RunWithRetry(context.Background(), cfg, RetryPolicy{
-			MaxAttempts: 2,
-			Sleep:       noSleep,
+				res, err := RunWithRetry(context.Background(), cfg, RetryPolicy{
+					MaxAttempts: 2,
+					Sleep:       noSleep,
+				})
+				if err != nil {
+					t.Fatalf("errorAt=%d: retried run failed: %v", errorAt, err)
+				}
+				assertSameResult(t, res, base)
+
+				snap := reg.Snapshot()
+				if snap.Counters[MetricRetries] != 1 {
+					t.Fatalf("errorAt=%d: sim/retries = %d, want 1", errorAt, snap.Counters[MetricRetries])
+				}
+				// A fault striking after the first snapshot must resume,
+				// not restart: the first attempt completed errorAt-1
+				// steps, so a snapshot exists from step 3 on.
+				wantResume := int64(0)
+				if errorAt-1 >= cfg.CheckpointEvery {
+					wantResume = 1
+				}
+				if snap.Counters[MetricResumes] != wantResume {
+					t.Fatalf("errorAt=%d: sim/resumes = %d, want %d",
+						errorAt, snap.Counters[MetricResumes], wantResume)
+				}
+				// The finished run cleared its checkpoint: a repeat
+				// submission of the same config starts from t=0.
+				if mem.ck != nil || mem.clears == 0 {
+					t.Fatalf("errorAt=%d: checkpoint not cleared on success (clears=%d)", errorAt, mem.clears)
+				}
+			}
 		})
-		if err != nil {
-			t.Fatalf("errorAt=%d: retried run failed: %v", errorAt, err)
-		}
-		assertSameResult(t, res, base)
-
-		snap := reg.Snapshot()
-		if snap.Counters[MetricRetries] != 1 {
-			t.Fatalf("errorAt=%d: sim/retries = %d, want 1", errorAt, snap.Counters[MetricRetries])
-		}
-		// A fault striking after the first snapshot must resume, not
-		// restart: the first attempt completed errorAt-1 steps, so a
-		// snapshot exists from step 3 on.
-		wantResume := int64(0)
-		if errorAt-1 >= cfg.CheckpointEvery {
-			wantResume = 1
-		}
-		if snap.Counters[MetricResumes] != wantResume {
-			t.Fatalf("errorAt=%d: sim/resumes = %d, want %d",
-				errorAt, snap.Counters[MetricResumes], wantResume)
-		}
-		// The finished run cleared its checkpoint: a repeat submission of
-		// the same config starts from t=0.
-		if mem.ck != nil || mem.clears == 0 {
-			t.Fatalf("errorAt=%d: checkpoint not cleared on success (clears=%d)", errorAt, mem.clears)
-		}
 	}
 }
 
@@ -174,7 +183,7 @@ func TestCheckpointResumeCycleModel(t *testing.T) {
 	cfg.Obs = reg
 	cfg.Checkpoint = &memCheckpointer{}
 	cfg.CheckpointEvery = 2
-	cfg.Solver = &fault.FlakySolver{Inner: &thermal.Explicit{}, ErrorAt: 6}
+	cfg.Solver = &fault.FlakySolver{Inner: &thermal.ADI{}, ErrorAt: 6}
 
 	res, err := RunWithRetry(context.Background(), cfg, RetryPolicy{
 		MaxAttempts: 2,

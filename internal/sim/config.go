@@ -90,7 +90,9 @@ type Config struct {
 	// cycle model (0 = the full 1 M; tests use fewer).
 	CyclesPerStep uint64
 
-	// Solver overrides the thermal solver (nil = explicit).
+	// Solver overrides the thermal solver (nil = thermal.ADI with its
+	// documented defaults; &thermal.Explicit{} selects the forward-Euler
+	// reference oracle).
 	Solver thermal.Solver
 
 	// Stack overrides the thermal stack (nil = the Table II default), and
@@ -273,7 +275,7 @@ func (c *Config) normalize() error {
 		c.CyclesPerStep = workload.TimestepCycles
 	}
 	if c.Solver == nil {
-		c.Solver = &thermal.Explicit{}
+		c.Solver = &thermal.ADI{}
 	}
 	if c.StackPreset != "" {
 		scn, err := stackScenarioFor(c.StackPreset)

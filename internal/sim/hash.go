@@ -22,10 +22,10 @@ import (
 // Configs carrying opaque behaviour the hash cannot canonically
 // represent — a custom perf.Source, a Controller, or a thermal.Solver
 // other than Explicit or ADI — are rejected with an error, as is any
-// config that fails validation. Config.Obs and solver tuning knobs that
-// are proven result-neutral (Explicit.Workers runs bit-identical at any
-// worker count) are excluded, as is the operational MaxWallTime budget
-// (it changes when a run gives up, never what it computes).
+// config that fails validation. Config.Obs and the solvers'
+// instrumentation counters are excluded, as is the operational
+// MaxWallTime budget (it changes when a run gives up, never what it
+// computes).
 func (c Config) Hash() (string, error) {
 	b, err := c.canonicalJSON()
 	if err != nil {
@@ -111,8 +111,8 @@ func (c Config) canonicalJSON() ([]byte, error) {
 	cc.Obs = nil
 	// The checkpoint seam is operational, like MaxWallTime: it changes
 	// how a run survives interruption, never what it computes (resumed
-	// explicit-solver runs are pinned bit-identical), so it must not
-	// perturb the content address.
+	// runs are pinned bit-identical for both stock solvers), so it must
+	// not perturb the content address.
 	cc.Checkpoint = nil
 	cc.CheckpointEvery = 0
 	if err := cc.normalize(); err != nil {
@@ -176,10 +176,10 @@ func (c Config) canonicalJSON() ([]byte, error) {
 }
 
 // canonicalSolver maps a solver to its hash token. Only the stock
-// solvers are representable: Explicit hashes by name alone (its Workers
-// knob is bit-identical at any value, and its counters are
-// instrumentation), while ADI includes the knobs that change its
-// numerics, with the documented defaults filled in.
+// solvers are representable: Explicit hashes by name alone (it has no
+// knobs, and its counters are instrumentation), while ADI includes the
+// knobs that change its numerics, with the documented defaults filled
+// in.
 func canonicalSolver(s thermal.Solver) (string, error) {
 	switch sv := s.(type) {
 	case *thermal.Explicit:

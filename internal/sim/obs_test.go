@@ -5,11 +5,13 @@ import (
 	"testing"
 
 	"hotgauge/internal/obs"
+	"hotgauge/internal/thermal"
 )
 
 func TestRunRecordsMetrics(t *testing.T) {
 	cfg := fastConfig(t, "gcc", 4)
 	cfg.Record.FieldEvery = 2
+	cfg.Solver = &thermal.Explicit{}
 	cfg.Obs = obs.NewRegistry()
 	res, err := Run(cfg)
 	if err != nil {

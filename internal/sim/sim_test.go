@@ -13,8 +13,8 @@ import (
 )
 
 // fastConfig returns a quick-running 7 nm configuration: a coarser grid
-// (0.2 mm) keeps the explicit solver ~16× faster than the campaign
-// default while exercising identical code paths.
+// (0.2 mm) has a quarter of the campaign default's cells while
+// exercising identical code paths.
 func fastConfig(t *testing.T, name string, steps int) Config {
 	t.Helper()
 	p, err := workload.Lookup(name)

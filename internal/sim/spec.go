@@ -52,11 +52,10 @@ type Spec struct {
 	RecordMLTD         bool `json:"record_mltd,omitempty"`
 	RecordSeverity     bool `json:"record_severity,omitempty"`
 	RecordHotspotUnits bool `json:"record_hotspot_units,omitempty"`
-	// Solver selects the thermal solver: "" or "explicit" (forward
-	// Euler, the reference) or "adi" (the adaptive
-	// alternating-direction-implicit fast solver). "" and "explicit" hash
-	// identically. An unset solver inherits a defaults overlay (see
-	// WithDefaults).
+	// Solver selects the thermal solver: "" or "adi" (the adaptive
+	// alternating-direction-implicit default) or "explicit" (forward
+	// Euler, the reference oracle). "" and "adi" hash identically. An
+	// unset solver inherits a defaults overlay (see WithDefaults).
 	Solver string `json:"solver,omitempty"`
 	// SolverTol tunes the ADI solver's per-step error budget [°C]
 	// (0 = thermal.DefaultADIErrTol; ignored for explicit).

@@ -6,11 +6,11 @@
 // copper heat spreader, thermal grease, and a fan-cooled heatsink with a
 // convective boundary to ambient.
 //
-// Two transient solvers are provided: an explicit forward-Euler solver
-// with an automatically derived stability substep (the default and the
-// reference), and ADI, an unconditionally stable alternating-direction-
-// implicit solver with adaptive substepping (the campaign fast solver and
-// the divergence fallback). A steady-state SOR solver, SolveSteady, serves
+// Two transient solvers are provided: ADI, an unconditionally stable
+// alternating-direction-implicit solver with adaptive substepping (the
+// default and the divergence fallback), and an explicit forward-Euler
+// solver with an automatically derived stability substep (the reference
+// oracle, stepping on ADI's explicit-delta kernel). A steady-state SOR solver, SolveSteady, serves
 // Ψ/TDP computation (Table IV) and idle-warmup initialization.
 //
 // Both transient solvers optionally report their work into internal/obs

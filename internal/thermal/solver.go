@@ -3,16 +3,14 @@ package thermal
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"hotgauge/internal/obs"
 )
 
 // Solver advances a thermal state by one simulation timestep under a
 // power input (W per cell, one frame per active plane). Implementations:
-// Explicit (the forward-Euler default and reference) and ADI
-// (alternating-direction-implicit with adaptive substepping, the
-// campaign fast solver).
+// ADI (alternating-direction-implicit with adaptive substepping, the
+// default) and Explicit (forward Euler, the reference oracle).
 //
 // Solvers carry reusable scratch buffers, so a Solver value must not be
 // shared between concurrent Step calls; give each goroutine its own.
@@ -24,17 +22,17 @@ type Solver interface {
 	Name() string
 }
 
-// NewSolver constructs a stock solver by name: "" or "explicit" (the
-// forward-Euler reference) or "adi" (the adaptive ADI fast solver; tol
-// sets ADI.ErrTol). A zero tol keeps the solver's documented default. This
-// is the seam CLI flags and wire specs use, so the names double as the
-// stable external vocabulary for solver selection.
+// NewSolver constructs a stock solver by name: "" or "adi" (the adaptive
+// ADI default; tol sets ADI.ErrTol) or "explicit" (the forward-Euler
+// reference oracle). A zero tol keeps the solver's documented default.
+// This is the seam CLI flags and wire specs use, so the names double as
+// the stable external vocabulary for solver selection.
 func NewSolver(name string, tol float64) (Solver, error) {
 	switch name {
-	case "", "explicit":
-		return &Explicit{}, nil
-	case "adi":
+	case "", "adi":
 		return &ADI{ErrTol: tol}, nil
+	case "explicit":
+		return &Explicit{}, nil
 	default:
 		return nil, fmt.Errorf("thermal: unknown solver %q (want explicit or adi)", name)
 	}
@@ -43,24 +41,14 @@ func NewSolver(name string, tol float64) (Solver, error) {
 // Explicit is the forward-Euler transient solver with automatic
 // stability-bounded substepping (≈10 µs substeps for the default stack at
 // 100 µm resolution, so a 200 µs simulation timestep runs ~20 substeps).
-// After the first Step on a grid it performs no per-Step allocations.
+// It is the reference oracle the ADI default is checked against, and it
+// runs on ADI's own stencil kernel: each substep is the explicit delta
+// rhsRows computes, added to the current field. After the first Step on
+// a grid it performs no per-Step allocations.
 type Explicit struct {
-	// Workers caps the row-band goroutines used per substep. 0 picks
-	// automatically (GOMAXPROCS for grids of at least parallelCells
-	// cells, serial below); 1 forces the serial kernel. Each explicit
-	// substep is embarrassingly parallel over cells, so the bands
-	// produce bit-identical results at any worker count.
-	Workers int
-
 	scratch []float64
 	zero    []float64
 	lp      [][]float64
-	// Per-grid decisions (scratch sizing, worker count) are hoisted out
-	// of the substep loop: they are recomputed only when Step sees a
-	// different *Grid than the previous call. Changing Workers between
-	// Steps on the same grid therefore requires a fresh Explicit value.
-	grid    *Grid
-	workers int
 
 	// Substeps, when set, counts the stability-bounded substeps executed
 	// (obs counters are nil-safe, so leaving these nil disables
@@ -88,39 +76,19 @@ func (e *Explicit) Step(g *Grid, s *State, power *Power, dt float64) error {
 	if n > 1 {
 		e.StabilityHits.Inc()
 	}
-	if e.grid != g {
-		if cap(e.scratch) < len(s.T) {
-			e.scratch = make([]float64, len(s.T))
-		}
-		if cap(e.zero) < g.NX {
-			e.zero = make([]float64, g.NX)
-		}
-		e.workers = e.workerCount(g)
-		e.grid = g
+	if cap(e.scratch) < len(s.T) {
+		e.scratch = make([]float64, len(s.T))
+	}
+	if cap(e.zero) < g.NX {
+		e.zero = make([]float64, g.NX)
 	}
 	e.lp = g.layerPower(power, e.lp)
-	lp := e.lp
 	zeros := e.zero[:g.NX]
 	cur, next := s.T, e.scratch[:len(s.T)]
-	rows := g.NL * g.NY
-	workers := e.workers
 	for it := 0; it < n; it++ {
-		if workers <= 1 {
-			stepRows(g, cur, next, lp, zeros, sub, 0, rows)
-		} else {
-			var wg sync.WaitGroup
-			for k := 0; k < workers; k++ {
-				r0, r1 := k*rows/workers, (k+1)*rows/workers
-				if r0 == r1 {
-					continue
-				}
-				wg.Add(1)
-				go func(cur, next []float64, r0, r1 int) {
-					defer wg.Done()
-					stepRows(g, cur, next, lp, zeros, sub, r0, r1)
-				}(cur, next, r0, r1)
-			}
-			wg.Wait()
+		rhsRows(g, cur, next, e.lp, zeros, sub)
+		for i, t := range cur {
+			next[i] += t
 		}
 		cur, next = next, cur
 	}

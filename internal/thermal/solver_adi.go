@@ -585,9 +585,18 @@ func (a *ADI) sweepZInto(g *Grid, w, u, out []float64) {
 }
 
 // rhsRows writes r = dt·F(cur) — the explicit forward-Euler update delta
-// including power injection and convection — into out. Same boundary
-// peeling and sum form as stepRows, minus the +t; power holds one plane
-// slice per grid layer (nil for passive layers).
+// including power injection and convection — into out; power holds one
+// plane slice per grid layer (nil for passive layers). It is ADI's
+// right-hand side and, plus cur, Explicit's whole substep.
+//
+// The textbook stencil (stepOnceRef) pays seven data-dependent branches
+// per cell for boundary handling. This kernel peels the boundaries
+// instead: per row, every absent neighbour gets a zero conductance
+// paired with a subslice that aliases the row itself, so the interior
+// loops are branch-free and bounds-check friendly. The flux is rewritten
+// in sum form, Σ gᵢ·Tᵢ − gSum·T with gSum hoisted per row, which nearly
+// halves the per-cell FP work; the reassociation stays within a few ulp
+// of the reference (validated to 1e-9 in solver_equiv_test.go).
 func rhsRows(g *Grid, cur, out []float64, power [][]float64, zeros []float64, dt float64) {
 	nx, ny, nl := g.NX, g.NY, g.NL
 	plane := nx * ny
@@ -599,6 +608,9 @@ func rhsRows(g *Grid, cur, out []float64, power [][]float64, zeros []float64, dt
 		invC := dt / g.capC[l]
 		i0 := r * nx
 
+		// Zero conductances stand in for absent neighbours: the matching
+		// subslice aliases the row itself, the loaded value is multiplied
+		// by 0, and the term vanishes exactly — no per-cell branches.
 		gN, gS, gDown, gUp, convG := 0.0, 0.0, 0.0, 0.0, 0.0
 		nOff, sOff, dOff, uOff := 0, 0, 0, 0
 		if iy > 0 {
@@ -627,7 +639,7 @@ func rhsRows(g *Grid, cur, out []float64, power [][]float64, zeros []float64, dt
 		}
 		o := out[i0 : i0+nx]
 
-		cp := convG * amb
+		cp := convG * amb // row-constant convective inflow at ambient
 		gEdge := gl + gN + gS + gDown + gUp + convG
 		gInt := gEdge + gl
 
@@ -640,9 +652,9 @@ func rhsRows(g *Grid, cur, out []float64, power [][]float64, zeros []float64, dt
 		o[0] = (lat + (gDown*dd[0] + gUp*uu[0]) + (cp + pw[0]) - gEdge*c[0]) * invC
 
 		if lpw == nil && l > 0 && l < nl-1 && iy > 0 && iy < ny-1 {
-			// Pure-interior row (no convection, no power): one lateral
-			// conductance multiplies the whole neighbour sum, exactly as
-			// in stepRows.
+			// Pure-interior row (all of N/S/down/up present, no
+			// convection, no power): the dominant case. One lateral
+			// conductance multiplies the whole neighbour sum.
 			gSum4 := 4*gl + gDown + gUp
 			for ix := 1; ix < nx-1; ix++ {
 				t := c[ix]

@@ -4,14 +4,16 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"hotgauge/internal/geometry"
 )
 
-// Equivalence tests: the optimized kernels of solver_fast.go against the
-// branchy reference kernels of solver_ref.go, across uneven grid shapes
-// (1-wide rows and columns, single-layer stacks) and both solvers. The
-// explicit kernel reassociates the flux sum, so it is compared within
-// 1e-9 rather than bitwise; the parallel row-band path must match the
-// serial one exactly.
+// Equivalence tests: the optimized kernels of solver_adi.go, driven
+// through Explicit.Step and the ADI sweeps, against the branchy
+// reference kernels of solver_ref.go, across uneven grid shapes (1-wide
+// rows and columns, single-layer stacks) and both solvers. The explicit
+// kernel reassociates the flux sum, so it is compared within 1e-9
+// rather than bitwise.
 
 // kernelShapes exercises every boundary-peeling special case: degenerate
 // single-cell, 1-wide columns (nx=1), 1-wide rows (ny=1), single-layer
@@ -113,13 +115,9 @@ func TestStepKernelMatchesReference(t *testing.T) {
 		g := syntheticGrid(sh.nx, sh.ny, sh.nl, rng)
 		cur := randTemps(g.Cells(), rng)
 		power := singleLayerPower(g, randPower(g.NX, g.NY, rng))
-		zeros := make([]float64, g.NX)
-		dt := g.dtStable
-
-		fast := make([]float64, g.Cells())
+		fast := explicitSubstep(t, g, cur, power)
 		ref := make([]float64, g.Cells())
-		stepRows(g, cur, fast, power, zeros, dt, 0, g.NL*g.NY)
-		stepOnceRef(g, cur, ref, power, dt)
+		stepOnceRef(g, cur, ref, power, g.dtStable)
 
 		for i := range ref {
 			if !closeTo(fast[i], ref[i], 1e-9) {
@@ -128,6 +126,27 @@ func TestStepKernelMatchesReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// explicitSubstep runs Explicit.Step over exactly one stability-bounded
+// substep from cur on a synthetic grid, wiring the non-nil per-layer
+// power slices in as the grid's active planes, and returns the result.
+func explicitSubstep(t *testing.T, g *Grid, cur []float64, power [][]float64) []float64 {
+	t.Helper()
+	g.active = g.active[:0]
+	var frames []*geometry.Field
+	for l, p := range power {
+		if p != nil {
+			g.active = append(g.active, l)
+			frames = append(frames, &geometry.Field{NX: g.NX, NY: g.NY, Dx: g.Dx, Data: p})
+		}
+	}
+	s := &State{T: append([]float64(nil), cur...)}
+	var e Explicit
+	if err := e.Step(g, s, NewPower(frames...), g.dtStable); err != nil {
+		t.Fatal(err)
+	}
+	return s.T
 }
 
 // refExplicitStep replicates Explicit.Step's substepping with the
@@ -165,31 +184,6 @@ func TestExplicitStepMatchesReferenceDriver(t *testing.T) {
 	for i := range sRef.T {
 		if !closeTo(sFast.T[i], sRef.T[i], 1e-9) {
 			t.Fatalf("cell %d: fast %.17g vs ref %.17g", i, sFast.T[i], sRef.T[i])
-		}
-	}
-}
-
-func TestExplicitParallelMatchesSerial(t *testing.T) {
-	g := newTestGrid(t)
-	power := uniformPower(g, 2.0)
-	power.Frames[0].Data[5] += 0.3
-	serial := g.NewState(DefaultAmbient)
-	par := serial.Clone()
-
-	sSerial := Explicit{Workers: 1}
-	sPar := Explicit{Workers: 4}
-	dt := 5 * g.dtStable
-	for step := 0; step < 4; step++ {
-		if err := sSerial.Step(g, serial, power, dt); err != nil {
-			t.Fatal(err)
-		}
-		if err := sPar.Step(g, par, power, dt); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := range serial.T {
-		if par.T[i] != serial.T[i] {
-			t.Fatalf("cell %d: parallel %.17g != serial %.17g", i, par.T[i], serial.T[i])
 		}
 	}
 }

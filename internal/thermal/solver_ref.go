@@ -2,8 +2,8 @@ package thermal
 
 // Reference kernels. These are the original, branchy, textbook
 // formulations of the explicit substep and the ADI substep. The
-// optimized kernels in solver_fast.go and solver_adi.go are validated
-// against them cell-for-cell (see solver_equiv_test.go); keep these in
+// optimized kernels in solver_adi.go (rhsRows, on which Explicit also
+// steps, and the ADI sweeps) are validated against them cell-for-cell (see solver_equiv_test.go); keep these in
 // sync with the physics, never with the optimizations.
 
 // stepOnceRef performs one explicit substep from cur into next,

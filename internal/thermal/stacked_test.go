@@ -20,13 +20,9 @@ func TestStepKernelMatchesReferenceMultiActive(t *testing.T) {
 		g := syntheticGrid(sh.nx, sh.ny, sh.nl, rng)
 		cur := randTemps(g.Cells(), rng)
 		power := multiLayerPower(g, rng)
-		zeros := make([]float64, g.NX)
-		dt := g.dtStable
-
-		fast := make([]float64, g.Cells())
+		fast := explicitSubstep(t, g, cur, power)
 		ref := make([]float64, g.Cells())
-		stepRows(g, cur, fast, power, zeros, dt, 0, g.NL*g.NY)
-		stepOnceRef(g, cur, ref, power, dt)
+		stepOnceRef(g, cur, ref, power, g.dtStable)
 
 		for i := range ref {
 			if !closeTo(fast[i], ref[i], 1e-9) {
