@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"sort"
 	"sync"
 
 	"hotgauge/internal/obs"
@@ -120,53 +121,55 @@ func NewTriager(opts TriageOptions, reg *obs.Registry) *Triager {
 // Threshold returns the resolved hotspot-severity threshold.
 func (t *Triager) Threshold() float64 { return t.opts.Threshold }
 
-// Score applies the triage policy to one config. The policy is one-sided
-// and conservative: a run executes exactly when its predicted severity
+// Score applies the triage policy to one campaign's configs and returns
+// a decision per config, in order. The policy is one-sided and
+// conservative: a run executes exactly when its predicted severity
 // reaches threshold − band (every predicted hotspot, plus the guard band
 // below it), when the prediction's confidence is below MinConfidence,
-// when prediction fails outright, or when the config's deterministic
-// audit draw selects it. Only runs the model confidently places clearly
-// below the threshold are skipped.
-func (t *Triager) Score(cfg Config) TriageDecision {
-	p, err := t.opts.Predictor.Predict(cfg)
-	if err != nil {
-		t.predictErrors.Inc()
-		t.exactRuns.Inc()
-		return TriageDecision{ExactRun: true, Reason: "predict_error"}
+// when prediction fails outright, or when the campaign's audit draw
+// selects it. Only runs the model confidently places clearly below the
+// threshold are skipped.
+func (t *Triager) Score(cfgs []Config) []TriageDecision {
+	ds := make([]TriageDecision, len(cfgs))
+	var skippable []auditCandidate
+	for i, cfg := range cfgs {
+		p, err := t.opts.Predictor.Predict(cfg)
+		if err != nil {
+			t.predictErrors.Inc()
+			ds[i] = TriageDecision{ExactRun: true, Reason: "predict_error"}
+			continue
+		}
+		t.predictions.Inc()
+		band := cfg.TriageBand
+		if band == 0 {
+			band = DefaultTriageBand
+		} else if band < 0 {
+			band = 0
+		}
+		ds[i] = TriageDecision{Prediction: &p, Reason: "skip"}
+		switch {
+		case p.Confidence < t.opts.MinConfidence:
+			ds[i].ExactRun, ds[i].Reason = true, "low_confidence"
+		case p.Severity >= t.opts.Threshold-band:
+			ds[i].ExactRun, ds[i].Reason = true, "frontier"
+		default:
+			skippable = append(skippable, auditCandidate{idx: i, cfg: cfg})
+		}
 	}
-	t.predictions.Inc()
-	band := cfg.TriageBand
-	if band == 0 {
-		band = DefaultTriageBand
-	} else if band < 0 {
-		band = 0
+	for _, i := range auditSelect(skippable) {
+		ds[i].ExactRun, ds[i].Audit, ds[i].Reason = true, true, "audit"
 	}
-	frac := cfg.AuditFrac
-	if frac == 0 {
-		frac = DefaultAuditFraction
-	} else if frac < 0 {
-		frac = 0
-	}
-	d := TriageDecision{Prediction: &p}
-	switch {
-	case p.Confidence < t.opts.MinConfidence:
-		d.ExactRun, d.Reason = true, "low_confidence"
-	case p.Severity >= t.opts.Threshold-band:
-		d.ExactRun, d.Reason = true, "frontier"
-	case auditSelect(cfg, frac):
-		d.ExactRun, d.Audit, d.Reason = true, true, "audit"
-	default:
-		d.Reason = "skip"
-	}
-	if d.ExactRun {
+	for _, d := range ds {
+		if !d.ExactRun {
+			t.skippedRuns.Inc()
+			continue
+		}
 		t.exactRuns.Inc()
 		if d.Audit {
 			t.auditRuns.Inc()
 		}
-	} else {
-		t.skippedRuns.Inc()
 	}
-	return d
+	return ds
 }
 
 // PredictedResult materializes a predicted-only Result for a skipped
@@ -225,26 +228,64 @@ func (t *Triager) AuditMAE() (mae float64, n int) {
 	return t.auditSum / float64(t.auditN), t.auditN
 }
 
-// auditSelect makes the deterministic audit draw for a config: the
-// config's content hash is folded to a uniform value in [0, 1) and
-// compared against the audit fraction, so the same config is always
-// audited (or not) regardless of submission order, process, or node. A
-// config that cannot hash is conservatively selected — it will execute
-// exactly.
-func auditSelect(cfg Config, frac float64) bool {
-	if frac <= 0 {
-		return false
+// auditCandidate is a confidently-skippable config awaiting the audit
+// draw, with its index in the scored campaign.
+type auditCandidate struct {
+	idx int
+	cfg Config
+}
+
+// auditSelect makes a campaign's deterministic audit draw over its
+// skippable configs and returns the campaign indices it selects, in
+// order. The draw is systematic sampling in content-address order: a
+// running sum of the candidates' audit fractions starts at an offset in
+// [0, 1) folded from the sorted addresses, and a candidate is audited
+// when its fraction carries the sum across an integer. Each config is
+// still audited with probability equal to its fraction, but the count
+// is pinned to the floor or ceiling of the fractions' sum, where an
+// independent per-config draw would swing by about √n with the hash
+// bits. The selection depends only on the set of configs, not on their
+// order, process or node. A config that cannot hash is conservatively
+// selected — it will execute exactly.
+func auditSelect(cands []auditCandidate) []int {
+	type draw struct {
+		idx  int
+		hash string
+		frac float64
 	}
-	if frac >= 1 {
-		return true
+	var picked []int
+	draws := make([]draw, 0, len(cands))
+	for _, c := range cands {
+		h, err := c.cfg.Hash()
+		if err != nil {
+			picked = append(picked, c.idx)
+			continue
+		}
+		frac := c.cfg.AuditFrac
+		if frac == 0 {
+			frac = DefaultAuditFraction
+		}
+		draws = append(draws, draw{idx: c.idx, hash: h, frac: math.Max(0, math.Min(frac, 1))})
 	}
-	h, err := cfg.Hash()
-	if err != nil {
-		return true
-	}
+	sort.Slice(draws, func(a, b int) bool {
+		if draws[a].hash != draws[b].hash {
+			return draws[a].hash < draws[b].hash
+		}
+		return draws[a].idx < draws[b].idx
+	})
 	f := fnv.New64a()
-	fmt.Fprintf(f, "audit/%s", h)
+	for _, d := range draws {
+		fmt.Fprintf(f, "audit/%s", d.hash)
+	}
 	const span = 1 << 53
-	u := float64(f.Sum64()%span) / float64(span)
-	return u < frac
+	sum := float64(f.Sum64()%span) / float64(span)
+	for _, d := range draws {
+		next := sum + d.frac
+		if math.Floor(next) > math.Floor(sum) {
+			picked = append(picked, d.idx)
+		}
+		sum = next
+	}
+	sort.Ints(picked)
+	return picked
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -51,7 +52,7 @@ func TestTriageScoreReasons(t *testing.T) {
 		cfg.Ambient = c.ambient
 		cfg.Surrogate = true
 		cfg.AuditFrac = c.auditFrac // negative disables the audit draw
-		d := tr.Score(cfg)
+		d := tr.Score([]Config{cfg})[0]
 		if d.ExactRun != c.exact || d.Reason != c.reason {
 			t.Errorf("ambient %.0f: got (exact=%v, reason=%q), want (exact=%v, reason=%q)",
 				c.ambient, d.ExactRun, d.Reason, c.exact, c.reason)
@@ -66,41 +67,64 @@ func TestTriageScorePredictError(t *testing.T) {
 	tr := NewTriager(TriageOptions{Predictor: &fakePredictor{err: errors.New("boom")}}, nil)
 	cfg := fastConfig(t, "gcc", 5)
 	cfg.Surrogate = true
-	d := tr.Score(cfg)
+	d := tr.Score([]Config{cfg})[0]
 	if !d.ExactRun || d.Reason != "predict_error" || d.Prediction != nil {
 		t.Fatalf("predict failure must fall back to exact: %+v", d)
 	}
 }
 
 func TestAuditSelectDeterministic(t *testing.T) {
-	cfg := fastConfig(t, "gcc", 5)
-	cfg.Surrogate = true
-	first := auditSelect(cfg, 0.5)
-	for i := 0; i < 10; i++ {
-		if auditSelect(cfg, 0.5) != first {
-			t.Fatal("audit draw varies across calls for the same config")
+	base := fastConfig(t, "gcc", 5)
+	base.Surrogate = true
+	campaign := func(n int, frac float64) []auditCandidate {
+		cands := make([]auditCandidate, n)
+		for i := range cands {
+			c := base
+			c.Ambient = 40 + float64(i)*0.01
+			c.AuditFrac = frac
+			cands[i] = auditCandidate{idx: i, cfg: c}
 		}
-	}
-	if auditSelect(cfg, 0) {
-		t.Error("zero fraction selected a run")
-	}
-	if !auditSelect(cfg, 1) {
-		t.Error("fraction 1 skipped a run")
+		return cands
 	}
 
-	// Over many distinct configs the draw rate should track the fraction.
+	// The selection is a function of the set of configs, not their order.
+	cands := campaign(40, 0.2)
+	first := auditSelect(cands)
+	rev := make([]auditCandidate, len(cands))
+	for i, c := range cands {
+		rev[len(cands)-1-i] = c
+	}
+	if got := auditSelect(rev); fmt.Sprint(got) != fmt.Sprint(first) {
+		t.Fatalf("audit draw depends on order: %v vs %v", got, first)
+	}
+	if n := len(auditSelect(campaign(40, -1))); n != 0 {
+		t.Errorf("negative fraction selected %d runs", n)
+	}
+	if n := len(auditSelect(campaign(40, 1))); n != 40 {
+		t.Errorf("fraction 1 selected %d of 40 runs", n)
+	}
+
+	// The count is pinned to within one of n·frac, whatever the hash bits.
+	for n := 1; n <= 60; n++ {
+		for _, frac := range []float64{0.1, 0.2, 0.25, 0.5} {
+			got := len(auditSelect(campaign(n, frac)))
+			want := float64(n) * frac
+			if float64(got) < math.Floor(want+1e-9) || float64(got) > math.Ceil(want-1e-9) {
+				t.Fatalf("n=%d frac=%.2f: %d audited, want ⌊%.2f⌋ or ⌈%.2f⌉", n, frac, got, want, want)
+			}
+		}
+	}
+
+	// One config alone is audited with probability equal to its fraction.
 	hits := 0
 	const n, frac = 400, 0.25
-	for i := 0; i < n; i++ {
-		c := cfg
-		c.Ambient = 40 + float64(i)*0.01
-		if auditSelect(c, frac) {
+	for _, c := range campaign(n, frac) {
+		if len(auditSelect([]auditCandidate{c})) == 1 {
 			hits++
 		}
 	}
-	rate := float64(hits) / n
-	if rate < frac/2 || rate > frac*2 {
-		t.Fatalf("audit rate %.3f far from fraction %.2f", rate, frac)
+	if rate := float64(hits) / n; rate < frac/2 || rate > frac*2 {
+		t.Fatalf("single-config audit rate %.3f far from fraction %.2f", rate, frac)
 	}
 }
 
